@@ -1,6 +1,7 @@
 """Named characters of the objects every other module computes with.
 
-The two lattice generators are
+The two lattice generators (defined in ``chern``, re-exported here with
+``point_class`` and ``point_ideal``) are
 
     v = 1 - (1/d) H^2          (ideal sheaf of a line)
     w = H - (1/2) H^2 + (1/6 - 1/d) H^3    (ideal of a point in a hyperplane section)
@@ -24,28 +25,13 @@ from .chern import (
     chi_pair,
     line_bundle,
     on_integral_lattice,
+    point_class,
+    point_ideal,
     ring_multiply,
+    v_vector,
+    w_vector,
 )
-from .kulattice import ExtTable, KuClass, check_ext_table, class_from_chern, NotInKuSpanError
-
-
-def v_vector(ctx: FanoContext) -> ChernVector:
-    """v = (1, 0, -1/d, 0)."""
-    return ChernVector(1, 0, Fraction(-1, ctx.degree), 0)
-
-
-def w_vector(ctx: FanoContext) -> ChernVector:
-    """w = (0, 1, -1/2, 1/6 - 1/d)."""
-    return ChernVector(0, 1, Fraction(-1, 2), Fraction(1, 6) - Fraction(1, ctx.degree))
-
-
-def point_class(ctx: FanoContext) -> ChernVector:
-    """ch(C_p) = [pt] = H^3 / d."""
-    return ChernVector(0, 0, 0, Fraction(1, ctx.degree))
-
-
-def point_ideal(ctx: FanoContext) -> ChernVector:
-    return line_bundle(0) - point_class(ctx)
+from .kulattice import ExtTable, KuClass, check_ext_table, class_from_chern, embed, NotInKuSpanError
 
 
 def pushforward_from_section(ctx: FanoContext, rank: int, c1_dot_h: int, points: Fraction | int) -> ChernVector:
@@ -212,7 +198,7 @@ def verify_catalog(d: int) -> CatalogVerdict:
             membership_ok = chi_o != 0 or chi_o1 != 0
 
         if entry.ku_class is not None:
-            embedded = entry.ku_class.a * v_vector(ctx) + entry.ku_class.b * w_vector(ctx)
+            embedded = embed(ctx, entry.ku_class)
             try:
                 solved = class_from_chern(ctx, entry.chern)
                 round_trip_ok = (

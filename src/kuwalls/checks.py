@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import ext_table_fixtures, ku_membership_chi, lookup, v_vector, verify_catalog, w_vector
-from .chern import DEGREES, FanoContext, chi_pair, line_bundle
+from .catalog import ext_table_fixtures, ku_membership_chi, lookup, verify_catalog
+from .chern import DEGREES, ChernVector, FanoContext, line_bundle, point_ideal, v_vector, w_vector
 from .delpezzo import (
     DPContext,
-    NefPosition,
     enumerate_lines,
     enumerate_roots,
-    nef_position,
+    line_pairs,
+    nef_interior_count,
     root_as_line_difference,
     surface_chi,
 )
@@ -29,11 +29,12 @@ from .kulattice import (
     class_from_chern,
     classes_with_self_pairing,
     euler_form,
+    euler_matrix_from_chern,
     rotate,
     rotation_matrix,
 )
 from .tilt import discriminant
-from .walls import BASE_LATTICE, chamber_report, destabilizer_search
+from .walls import BASE_LATTICE, chamber_report, destabilizer_search, w_decomposition_holds
 
 ROOT_LINE_COUNTS = {1: (240, 240), 2: (126, 56), 3: (72, 27), 4: (40, 16), 5: (20, 10)}
 
@@ -55,12 +56,7 @@ def _result(name: str, degree: int, passed: bool, detail: str) -> CheckResult:
 
 
 def check_euler_matrix(d: int) -> CheckResult:
-    ctx = FanoContext(d)
-    v, w = v_vector(ctx), w_vector(ctx)
-    from_chern = [
-        [chi_pair(ctx, v, v), chi_pair(ctx, v, w)],
-        [chi_pair(ctx, w, v), chi_pair(ctx, w, w)],
-    ]
+    from_chern = [list(row) for row in euler_matrix_from_chern(FanoContext(d))]
     from_lattice = [
         [euler_form(d, V, V), euler_form(d, V, W)],
         [euler_form(d, W, V), euler_form(d, W, W)],
@@ -90,8 +86,8 @@ def check_unique_wall(d: int) -> CheckResult:
 
 def check_decomposition(d: int) -> CheckResult:
     ctx = FanoContext(d)
-    lhs = lookup(d, "I_p").chern + (-line_bundle(-1))
-    ok = lhs == w_vector(ctx)
+    lhs = point_ideal(ctx) + (-line_bundle(-1))
+    ok = w_decomposition_holds(ctx, w_vector(ctx)) is True
     return _result("wall-crossing decomposition I_p + O(-1)[1] = w", d, ok, f"lhs {lhs.coefficients()}")
 
 
@@ -103,7 +99,7 @@ def check_discriminant_window(d: int) -> CheckResult:
     ok = delta_w == 1
     details = [f"Delta(w) = {delta_w}"]
     for cand in found:
-        delta = cand.y * cand.y - 2 * cand.x * cand.z
+        delta = discriminant(ChernVector(cand.x, cand.y, cand.z, 0))
         window = 0 <= delta <= delta_w
         bound_chain = -1 <= -8 * cand.x * cand.z <= 3
         ok = ok and window and bound_chain
@@ -162,16 +158,16 @@ def check_line_pairing_and_differences(d: int) -> CheckResult:
     ctx = DPContext(2)
     roots = enumerate_roots(ctx)
     lines = enumerate_lines(ctx)
-    minus_k = -ctx.canonical
-    line_set = set(lines)
-    pairing_ok = all(minus_k - line in line_set and minus_k - line != line for line in lines)
+    pairs = line_pairs(ctx)
+    # the pairs partition the lines exactly when L -> -K-L is a fixed-point-free involution on them
+    pairing_ok = sorted(line.as_tuple() for pair in pairs for line in pair) == [line.as_tuple() for line in lines]
     decompose_ok = all(root_as_line_difference(ctx, root) is not None for root in roots)
     ok = pairing_ok and decompose_ok and len(lines) == 56
     return _result(
         "56 lines pair under L -> -K-L; all 126 roots split as disjoint line differences",
         d,
         ok,
-        f"pairs: {len(lines) // 2}, decomposed roots: {len(roots)}",
+        f"pairs: {len(pairs)}, decomposed roots: {len(roots)}",
     )
 
 
@@ -180,8 +176,7 @@ def check_nef_interior(d: int) -> CheckResult:
         return _result("vanishing-theorem positivity (degree 2 only)", d, True, "skipped: specific to degree 2")
     ctx = DPContext(2)
     roots = enumerate_roots(ctx)
-    shifted = [root - ctx.canonical.scale(2) for root in roots]
-    interior = sum(1 for s in shifted if nef_position(ctx, s) is NefPosition.INTERIOR)
+    interior = nef_interior_count(ctx, roots)
     ok = interior == len(roots)
     return _result("D - 2K interior to the nef cone for every root", d, ok, f"{interior}/{len(roots)} interior")
 

@@ -141,6 +141,25 @@ def line_bundle(n: Rational) -> ChernVector:
     return exp_h(n)
 
 
+def v_vector(ctx: FanoContext) -> ChernVector:
+    """v = (1, 0, -1/d, 0), the class of the ideal sheaf of a line."""
+    return ChernVector(1, 0, Fraction(-1, ctx.degree), 0)
+
+
+def w_vector(ctx: FanoContext) -> ChernVector:
+    """w = (0, 1, -1/2, 1/6 - 1/d), the class of a point ideal in a hyperplane section."""
+    return ChernVector(0, 1, Fraction(-1, 2), Fraction(1, 6) - Fraction(1, ctx.degree))
+
+
+def point_class(ctx: FanoContext) -> ChernVector:
+    """ch(C_p) = [pt] = H^3 / d."""
+    return ChernVector(0, 0, 0, Fraction(1, ctx.degree))
+
+
+def point_ideal(ctx: FanoContext) -> ChernVector:
+    return line_bundle(0) - point_class(ctx)
+
+
 def canonical_class() -> ChernVector:
     """ch(K) = exp(-2H); the index-2 condition -K = 2H."""
     return exp_h(-2)

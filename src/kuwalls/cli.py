@@ -9,32 +9,31 @@ Subcommands
 
 Exit codes: 0 success, 1 check failure, 2 usage error.  Rationals are
 serialized as canonical strings "p/q" (plain "p" for integers); output bytes
-are identical across repeated runs and across KUWALLS_THREADS settings.
+are identical across repeated runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .catalog import CatalogEntry, catalog, lookup, v_vector, verify_catalog, w_vector
-from .chern import DEGREES, ChernVector, FanoContext, chi_pair
+from .catalog import CatalogEntry, catalog, lookup, verify_catalog
+from .chern import DEGREES, ChernVector, FanoContext
 from .checks import run_all_checks, run_checks
 from .delpezzo import (
     DPContext,
-    NefPosition,
     enumerate_lines,
     enumerate_roots,
-    nef_position,
+    line_pairs,
+    nef_interior_count,
     root_as_line_difference,
 )
 from .diagram import write_svg
-from .kulattice import V, W, euler_form
+from .kulattice import euler_matrix, euler_matrix_from_chern
 from .walls import BASE_LATTICE, chamber_report
 
 SCHEMA_VERSION = "1.0"
@@ -60,15 +59,6 @@ def _document(command: str, degree: int, payload: dict) -> dict:
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("KUWALLS_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"KUWALLS_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, workers)
 
 
 def _parse_degree(value: str) -> int:
@@ -117,16 +107,8 @@ def _parse_rational(value: str, flag: str) -> Fraction:
 def cmd_euler(args: argparse.Namespace) -> int:
     _require_degree(args.degree)
     d = args.degree
-    ctx = FanoContext(d)
-    v, w = v_vector(ctx), w_vector(ctx)
-    from_lattice = [
-        [euler_form(d, V, V), euler_form(d, V, W)],
-        [euler_form(d, W, V), euler_form(d, W, W)],
-    ]
-    from_riemann_roch = [
-        [chi_pair(ctx, v, v), chi_pair(ctx, v, w)],
-        [chi_pair(ctx, w, v), chi_pair(ctx, w, w)],
-    ]
+    from_lattice = euler_matrix(d)
+    from_riemann_roch = euler_matrix_from_chern(FanoContext(d))
     payload = {
         "basis": ["v", "w"],
         "matrix": from_lattice,
@@ -145,12 +127,15 @@ def cmd_walls(args: argparse.Namespace) -> int:
     denoms = BASE_LATTICE
     if args.denoms is not None:
         parts = args.denoms.split(",")
-        if len(parts) != 2 or not all(part.strip().isdigit() for part in parts):
+        if len(parts) != 2 or not all(part.strip().isdecimal() and int(part) > 0 for part in parts):
             print(f"--denoms must be two positive integers like 2,8, got {args.denoms!r}", file=sys.stderr)
             return USAGE_ERROR
         denoms = (int(parts[0]), int(parts[1]))
+    if args.x_bound < 0:
+        print(f"--x-bound must be a non-negative integer, got {args.x_bound}", file=sys.stderr)
+        return USAGE_ERROR
 
-    report = chamber_report(ctx, target, beta0, denoms=denoms, x_bound=args.x_bound, workers=_workers_from_env())
+    report = chamber_report(ctx, target, beta0, denoms=denoms, x_bound=args.x_bound)
     payload = {
         "class": name,
         "chern": _vec(target),
@@ -173,9 +158,13 @@ def cmd_walls(args: argparse.Namespace) -> int:
     }
     if report.decomposition_verified is not None:
         payload["decomposition_check"] = "PASS" if report.decomposition_verified else "FAIL"
-    _emit(_document("walls", args.degree, payload))
     if args.svg is not None:
-        write_svg(report, args.svg)
+        try:
+            write_svg(report, args.svg)
+        except OSError as exc:
+            print(f"cannot write --svg {args.svg!r}: {exc.strerror}", file=sys.stderr)
+            return USAGE_ERROR
+    _emit(_document("walls", args.degree, payload))
     return 0
 
 
@@ -208,16 +197,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
         payload["roots"] = [list(root.as_tuple()) for root in roots]
         payload["lines"] = [list(line.as_tuple()) for line in lines]
     if args.pairs:
-        minus_k = -ctx.canonical
-        seen = set()
-        pairs = []
-        for line in lines:
-            partner = minus_k - line
-            key = tuple(sorted((line.as_tuple(), partner.as_tuple())))
-            if key not in seen:
-                seen.add(key)
-                pairs.append([list(key[0]), list(key[1])])
-        payload["line_pairs"] = pairs
+        pairs = line_pairs(ctx)
+        payload["line_pairs"] = [[list(first.as_tuple()), list(second.as_tuple())] for first, second in pairs]
         payload["line_pair_count"] = len(pairs)
     if args.as_line_diff:
         decompositions = []
@@ -231,8 +212,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
             )
         payload["line_differences"] = decompositions
     if args.nef_check:
-        shifted = [root - ctx.canonical.scale(2) for root in roots]
-        interior = sum(1 for s in shifted if nef_position(ctx, s) is NefPosition.INTERIOR)
+        interior = nef_interior_count(ctx, roots)
         payload["nef_check"] = f"{interior}/{len(roots)} of D-2K interior"
         payload["nef_interior_count"] = interior
     _emit(_document("roots", args.dp, payload))

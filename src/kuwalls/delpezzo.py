@@ -171,6 +171,17 @@ def root_as_line_difference(ctx: DPContext, root: PicVector) -> tuple[PicVector,
     return None
 
 
+def line_pairs(ctx: DPContext) -> list[tuple[PicVector, PicVector]]:
+    """The orbits {L, -K-L} of the lines, each sorted, in the order of their first line.
+
+    -K-L is again a line only in degree 2, where L -> -K-L is the Geiser
+    involution; in other degrees the second entry is just the class -K-L.
+    """
+    lines, _ = _line_data(ctx)
+    minus_k = -ctx.canonical
+    return list(dict.fromkeys(tuple(sorted((line, minus_k - line), key=PicVector.as_tuple)) for line in lines))
+
+
 class NefPosition(enum.Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
@@ -195,6 +206,12 @@ def nef_position(ctx: DPContext, x: PicVector) -> NefPosition:
     if all(p >= 0 for p in products) and self_int >= 0:
         return NefPosition.BOUNDARY
     return NefPosition.OUTSIDE
+
+
+def nef_interior_count(ctx: DPContext, roots: list[PicVector]) -> int:
+    """How many of the classes D - 2K, D in ``roots``, lie in the interior of the nef cone."""
+    two_k = ctx.canonical.scale(2)
+    return sum(1 for root in roots if nef_position(ctx, root - two_k) is NefPosition.INTERIOR)
 
 
 def surface_chi(ctx: DPContext, divisor: PicVector) -> Fraction:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import ChernVector, DEGREES, FanoContext
+from .chern import ChernVector, DEGREES, FanoContext, chi_pair, v_vector, w_vector
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -48,6 +48,15 @@ def euler_matrix(d: int) -> Matrix2:
     if d not in DEGREES:
         raise ValueError(f"degree must be one of {DEGREES}, got {d}")
     return ((-1, -1), (1 - d, -d))
+
+
+def euler_matrix_from_chern(ctx: FanoContext) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """The pairing matrix on (v, w) by Riemann-Roch, independent of ``euler_matrix``."""
+    v, w = v_vector(ctx), w_vector(ctx)
+    return (
+        (chi_pair(ctx, v, v), chi_pair(ctx, v, w)),
+        (chi_pair(ctx, w, v), chi_pair(ctx, w, w)),
+    )
 
 
 def euler_form(d: int, p: KuClass, q: KuClass) -> int:
@@ -92,8 +101,6 @@ class KuCoordinates:
 
 def embed(ctx: FanoContext, cls: KuClass) -> ChernVector:
     """The cohomology class a.v + b.w."""
-    from .catalog import v_vector, w_vector
-
     return cls.a * v_vector(ctx) + cls.b * w_vector(ctx)
 
 

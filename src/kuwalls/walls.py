@@ -22,15 +22,14 @@ are already ruled out by the sign constraint below).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chern import ChernVector, FanoContext, Rational, _frac, line_bundle, twist
+from .chern import ChernVector, FanoContext, Rational, _frac, line_bundle, point_ideal, twist, w_vector
 from .tilt import discriminant
 
 #: Denominator lattice (for y and z) under which the class-w search at
-#: beta = -1/2 produces its single wall.
+#: beta = -1/2 produces its single wall; the default of every search.
 BASE_LATTICE = (2, 8)
 
 
@@ -104,13 +103,6 @@ class DestabilizerCandidate:
         return (self.x, self.y, self.z)
 
 
-def default_denominators(ctx: FanoContext) -> tuple[int, int]:
-    """Lattice (for y, z) at beta = -1/2: (2, 8), refined to (2, lcm(8, 4d)) for d = 3, 5."""
-    if ctx.degree in (3, 5):
-        return (2, math.lcm(8, 4 * ctx.degree))
-    return BASE_LATTICE
-
-
 def _wall_alpha_sq(
     t_target: tuple[Fraction, Fraction, Fraction], x: int, y: Fraction, z: Fraction
 ) -> Fraction | None:
@@ -158,9 +150,8 @@ def destabilizer_search(
     ctx: FanoContext,
     target: ChernVector,
     beta0: Rational,
-    denoms: tuple[int, int] | None = None,
+    denoms: tuple[int, int] = BASE_LATTICE,
     x_bound: int = 5,
-    workers: int = 1,
 ) -> list[DestabilizerCandidate]:
     """All admissible destabilizing triples for ``target`` on the line beta = beta0.
 
@@ -168,10 +159,11 @@ def destabilizer_search(
     subobject side of the destabilizing pair: x and z must both be positive
     (the mirror triple with both signs flipped describes the quotient of the
     same wall).  Candidates are sorted lexicographically by (x, y, z).
+
+    The lattice defaults to (2, 8) in every degree, as in ``chamber_report``;
+    refined lattices such as (2, 24) are searched only when passed explicitly.
     """
     beta0 = _frac(beta0)
-    if denoms is None:
-        denoms = default_denominators(ctx)
     y_denom, z_denom = denoms
     if y_denom < 1 or z_denom < 1 or x_bound < 0:
         raise ValueError("denominators must be >= 1 and x_bound >= 0")
@@ -189,16 +181,9 @@ def destabilizer_search(
     if torsion_rules:
         xs = [x for x in xs if x > 0]
 
-    def run(x: int) -> list[tuple[int, Fraction, Fraction]]:
-        return _search_x_slice(x, ys, t_target, delta_target, z_denom, torsion_rules)
-
-    if workers > 1 and len(xs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slices = list(pool.map(run, xs))
-    else:
-        slices = [run(x) for x in xs]
-
-    triples = sorted(triple for chunk in slices for triple in chunk)
+    triples = sorted(
+        triple for x in xs for triple in _search_x_slice(x, ys, t_target, delta_target, z_denom, torsion_rules)
+    )
     candidates = []
     for x, y, z in triples:
         candidate_untwisted = twist(ChernVector(x, y, z, 0), -beta0)
@@ -237,8 +222,6 @@ class ChamberReport:
 
 def w_decomposition_holds(ctx: FanoContext, target: ChernVector) -> bool | None:
     """Exact check of ch(I_p) + ch(O(-1)[1]) = target, for the class-w target only."""
-    from .catalog import point_ideal, w_vector  # local import; catalog sits above this module
-
     if target != w_vector(ctx):
         return None
     return point_ideal(ctx) + (-line_bundle(-1)) == target
@@ -250,7 +233,6 @@ def chamber_report(
     beta0: Rational,
     denoms: tuple[int, int] = BASE_LATTICE,
     x_bound: int = 5,
-    workers: int = 1,
 ) -> ChamberReport:
     """Walls met by the line beta = beta0, sorted by alpha, for the given target.
 
@@ -259,7 +241,7 @@ def chamber_report(
     the report records the lattice and rule set actually used.
     """
     beta0 = _frac(beta0)
-    candidates = destabilizer_search(ctx, target, beta0, denoms=denoms, x_bound=x_bound, workers=workers)
+    candidates = destabilizer_search(ctx, target, beta0, denoms=denoms, x_bound=x_bound)
 
     by_alpha: dict[Fraction, list[DestabilizerCandidate]] = {}
     t = twist(target, beta0).truncated()

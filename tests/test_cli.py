@@ -93,6 +93,19 @@ def test_walls_rejects_unparsable_class(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--denoms", "0,8"], ["--x-bound", "-1"], ["--svg", "{tmp}/missing/walls.svg"]],
+    ids=["zero-denominator", "negative-x-bound", "unwritable-svg"],
+)
+def test_walls_bad_arguments_are_usage_errors(capsys, tmp_path, flags):
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    code, out, err = run(capsys, ["walls", "--degree", "2", "--class", "w", *flags])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_roots_counts(capsys):
     doc = run_json(capsys, ["roots", "--dp", "2"])
     assert doc["payload"]["root_count"] == 126
@@ -183,25 +196,18 @@ def test_exit_code_one_on_failing_check(capsys, monkeypatch):
     assert doc["payload"]["failed"] == 1
 
 
-def test_output_is_byte_identical_across_runs_and_thread_counts(capsys, monkeypatch, tmp_path):
+def test_output_is_byte_identical_across_runs(capsys, tmp_path):
     argv = ["walls", "--degree", "2", "--class", "w", "--beta", "-1/2"]
     outputs = []
     svgs = []
-    for threads in ("1", "4", "4"):
-        monkeypatch.setenv("KUWALLS_THREADS", threads)
-        svg_path = tmp_path / f"diagram-{len(svgs)}.svg"
+    for run_index in range(3):
+        svg_path = tmp_path / f"diagram-{run_index}.svg"
         code, out, err = run(capsys, argv + ["--svg", str(svg_path)])
         assert code == 0
         outputs.append(out)
         svgs.append(svg_path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
     assert svgs[0] == svgs[1] == svgs[2]
-
-
-def test_invalid_thread_env_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("KUWALLS_THREADS", "many")
-    code, out, err = run(capsys, ["walls", "--degree", "2", "--class", "w"])
-    assert code == 2
 
 
 def test_json_round_trip(capsys):

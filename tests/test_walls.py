@@ -17,12 +17,11 @@ import sympy
 
 from kuwalls.catalog import point_ideal, v_vector, w_vector
 from kuwalls.chern import DEGREES, ChernVector, FanoContext, line_bundle, twist
-from kuwalls.tilt import discriminant
+from kuwalls.tilt import discriminant, params, slope_tilt
 from kuwalls.walls import (
     BASE_LATTICE,
     WallLocus,
     chamber_report,
-    default_denominators,
     destabilizer_search,
     numerical_wall,
 )
@@ -135,6 +134,8 @@ def test_search_for_w_finds_the_single_candidate(d):
     wall = found[0].wall
     assert wall.kind == "semicircle" and wall.center_beta == BETA0
     assert wall.alpha_sq_at(BETA0) == Fraction(1, 4)
+    # the search defaults to the same lattice as chamber_report, in every degree
+    assert destabilizer_search(ctx, w_vector(ctx), BETA0) == found
 
 
 def test_search_with_zero_bound_is_empty():
@@ -195,21 +196,6 @@ def test_candidate_wall_radius_is_two_z_over_x():
         assert cand.wall.alpha_sq_at(BETA0) == 2 * cand.z / cand.x
 
 
-def test_default_denominators():
-    assert default_denominators(FanoContext(1)) == (2, 8)
-    assert default_denominators(FanoContext(2)) == (2, 8)
-    assert default_denominators(FanoContext(4)) == (2, 8)
-    assert default_denominators(FanoContext(3)) == (2, 24)
-    assert default_denominators(FanoContext(5)) == (2, 40)
-
-
-def test_search_parallel_slices_agree():
-    target = twist(ChernVector(1, 3, Fraction(1, 2), 0), Fraction(1, 2))
-    sequential = destabilizer_search(CTX2, target, BETA0, denoms=(2, 8), x_bound=6, workers=1)
-    threaded = destabilizer_search(CTX2, target, BETA0, denoms=(2, 8), x_bound=6, workers=4)
-    assert [c.key() for c in sequential] == [c.key() for c in threaded]
-
-
 @pytest.mark.parametrize("d", DEGREES)
 def test_chamber_report_for_w(d):
     ctx = FanoContext(d)
@@ -221,6 +207,21 @@ def test_chamber_report_for_w(d):
     assert report.torsion_rules is True
     assert report.decomposition_verified is True
     assert report.lattice == BASE_LATTICE
+
+
+@pytest.mark.parametrize("denoms", [(2, 8), (2, 16), (2, 40)])
+@pytest.mark.parametrize("d", DEGREES)
+def test_wall_heights_agree_with_tilt_slopes(d, denoms):
+    # the closed-form wall coefficients against the charges of the tilt module
+    ctx = FanoContext(d)
+    target = w_vector(ctx)
+    report = chamber_report(ctx, target, BETA0, denoms=denoms)
+    assert report.walls
+    for crossing in report.walls:
+        at_wall = params(crossing.alpha_sq, BETA0)
+        for cand in crossing.candidates:
+            untwisted = twist(ChernVector(cand.x, cand.y, cand.z, 0), -BETA0)
+            assert slope_tilt(ctx, at_wall, untwisted) == slope_tilt(ctx, at_wall, target)
 
 
 def test_chamber_report_groups_walls_by_crossing_height():
