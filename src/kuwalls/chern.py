@@ -189,17 +189,26 @@ def chi_pair(ctx: FanoContext, x: ChernVector, y: ChernVector) -> Fraction:
 
 
 def lattice_denominators(ctx: FanoContext) -> tuple[int, int, int]:
-    """Default denominators (for ch1, ch2, ch3) of classes of genuine objects."""
+    """Denominators (for ch1, ch2, ch3) that every class passing the default test has."""
     d = ctx.degree
     return (1, math.lcm(2, d), math.lcm(6, d))
 
 
 def on_integral_lattice(ctx: FanoContext, x: ChernVector, denominators: tuple[int, int, int] | None = None) -> bool:
-    """Whether ch0 is an integer and ch1..ch3 lie on the configured lattice."""
-    d1, d2, d3 = denominators if denominators is not None else lattice_denominators(ctx)
-    return (
-        x.r.denominator == 1
-        and (x.c1 * d1).denominator == 1
-        and (x.c2 * d2).denominator == 1
-        and (x.c3 * d3).denominator == 1
-    )
+    """Whether ``x`` lies on the integral lattice of Chern characters of objects.
+
+    By default: ch0 and ch1 are integers, ch2 - ch1^2/2 lies in (1/d)Z and
+    chi(O(k), E) is an integer for k = 0..3, which also pins ch3.  Explicit
+    ``denominators`` (for ch1, ch2, ch3) instead require only ch0 to be an
+    integer and each ch_i times its denominator to be one.
+    """
+    if x.r.denominator != 1:
+        return False
+    if denominators is None:
+        return (
+            x.c1.denominator == 1
+            and ((x.c2 - x.c1 * x.c1 / 2) * ctx.degree).denominator == 1
+            and all(chi_pair(ctx, line_bundle(k), x).denominator == 1 for k in range(4))
+        )
+    d1, d2, d3 = denominators
+    return (x.c1 * d1).denominator == 1 and (x.c2 * d2).denominator == 1 and (x.c3 * d3).denominator == 1

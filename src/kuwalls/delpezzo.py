@@ -9,9 +9,15 @@ lines are classes L with L.K = L^2 = -1.
 Enumeration is certified complete without root-system tables: writing
 D = a e0 + sum(c_i e_i), the two defining equations fix sum(c_i) and
 sum(c_i^2), so Cauchy-Schwarz bounds a^2 <= 2(9-d)/d for roots (similarly
-for lines) and each |c_i| is at most |a| + 1.  The recursive scan prunes
-only on the obviously-sound budget bounds, so re-running it on an enlarged
-box is a genuine saturation check of the certified bounds.
+for lines) and each |c_i| is at most |a| + 1.
+
+Both equations and that box are invariant under permuting e1..e(9-d), so
+for each a the scan fills only non-increasing coordinate tuples, one per
+permutation orbit, and expands each orbit into its distinct orderings.
+Besides the symmetry it prunes only on the obviously-sound budget bounds
+(sum and sum of squares still needed), and the box stays symmetric, so
+re-running it on an enlarged box is still a genuine saturation check of
+the certified bounds.
 """
 
 from __future__ import annotations
@@ -90,27 +96,53 @@ def _fill(
     remaining: int,
     sum_needed: int,
     sq_needed: int,
+    upper: int,
     cmax: int,
     prefix: list[int],
     out: list[tuple[int, ...]],
 ) -> None:
+    """Append every non-increasing completion of ``prefix`` with entries <= ``upper``.
+
+    ``upper`` is the previous entry, or ``cmax`` for the first one, so the
+    entries also stay in the symmetric box [-cmax, cmax].
+    """
     if remaining == 0:
         if sum_needed == 0 and sq_needed == 0:
             out.append(tuple(prefix))
         return
-    if sq_needed < 0:
+    root = isqrt(sq_needed)
+    hi = min(upper, root)
+    lo = max(-cmax, -root)
+    # every remaining entry lies in [lo, hi], so the remaining sum does too
+    if not remaining * lo <= sum_needed <= remaining * hi:
         return
-    m = min(cmax, isqrt(sq_needed))
-    if abs(sum_needed) > remaining * m:
-        return
-    for c in range(-m, m + 1):
+    for c in range(hi, lo - 1, -1):
         prefix.append(c)
-        _fill(remaining - 1, sum_needed - c, sq_needed - c * c, cmax, prefix, out)
+        _fill(remaining - 1, sum_needed - c, sq_needed - c * c, c, cmax, prefix, out)
         prefix.pop()
 
 
-def _scan(ctx: DPContext, k_pairing: int, self_int: int, extra_box: int) -> list[PicVector]:
-    """All D with D.K = k_pairing and D^2 = self_int, in lexicographic order.
+def _distinct_permutations(orbit: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every distinct ordering of ``orbit``, in lexicographic order (next-permutation)."""
+    p = sorted(orbit)
+    n = len(p)
+    out = [tuple(p)]
+    while True:
+        i = n - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = n - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1 :] = p[:i:-1]
+        out.append(tuple(p))
+
+
+def _orbits(ctx: DPContext, k_pairing: int, self_int: int, extra_box: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(a, c) with c non-increasing, one per permutation orbit of the solutions.
 
     The equations translate to sum(c_i) = -3a - k_pairing and
     sum(c_i^2) = a^2 - self_int; the a-range comes from Cauchy-Schwarz,
@@ -127,16 +159,32 @@ def _scan(ctx: DPContext, k_pairing: int, self_int: int, extra_box: int) -> list
     a_lo = -((3 * k_pairing + spread) // d) - 1 - extra_box
     a_hi = (-3 * k_pairing + spread) // d + 1 + extra_box
 
-    found: list[PicVector] = []
+    found: list[tuple[int, tuple[int, ...]]] = []
     for a in range(a_lo, a_hi + 1):
         sq_needed = a * a - self_int
         if sq_needed < 0:
             continue
-        sum_needed = -3 * a - k_pairing
+        cmax = abs(a) + 1 + extra_box
         coords: list[tuple[int, ...]] = []
-        _fill(n, sum_needed, sq_needed, abs(a) + 1 + extra_box, [], coords)
-        found.extend(PicVector(a, c) for c in coords)
+        _fill(n, -3 * a - k_pairing, sq_needed, cmax, cmax, [], coords)
+        found.extend((a, c) for c in coords)
     return found
+
+
+def _scan(ctx: DPContext, k_pairing: int, self_int: int, extra_box: int) -> list[PicVector]:
+    """All D with D.K = k_pairing and D^2 = self_int, in lexicographic order.
+
+    Fills one non-increasing tuple per permutation orbit of e1..e(9-d)
+    (``_orbits``) and expands each into its distinct orderings.  The a-range
+    and the box |c_i| <= |a| + 1 + ``extra_box`` are those of a scan over
+    every ordered vector; the box is symmetric and the symmetry is the only
+    pruning added, so an ``extra_box`` > 0 re-scan is still a genuine
+    saturation check of the certified bounds.
+    """
+    expanded = sorted(
+        (a, c) for a, orbit in _orbits(ctx, k_pairing, self_int, extra_box) for c in _distinct_permutations(orbit)
+    )
+    return [PicVector(a, c) for a, c in expanded]
 
 
 def enumerate_roots(ctx: DPContext, extra_box: int = 0) -> list[PicVector]:

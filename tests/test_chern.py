@@ -30,7 +30,7 @@ from kuwalls.chern import (
     ring_multiply,
     twist,
 )
-from kuwalls.catalog import v_vector, w_vector
+from kuwalls.catalog import catalog, v_vector, w_vector
 
 H = sympy.symbols("H")
 
@@ -234,3 +234,19 @@ def test_integral_lattice():
     assert not on_integral_lattice(ctx, ChernVector(1, Fraction(1, 2), 0, 0))
     # the lattice is configurable
     assert on_integral_lattice(ctx, ChernVector(1, Fraction(1, 2), 0, 0), denominators=(2, 2, 6))
+
+
+def test_default_lattice_is_sharp():
+    ctx = FanoContext(5)
+    # ch2 = -1/10 is on the coarse (1, 10, 30) grid, but ch2 - ch1^2/2 is not in (1/5)Z
+    x = ChernVector(1, 0, Fraction(-1, 10), 0)
+    assert not on_integral_lattice(ctx, x)
+    assert on_integral_lattice(ctx, x, denominators=lattice_denominators(ctx))
+    # a third of a point class is on the coarse grid too, but has chi = 1/3
+    third_point = ChernVector(0, 0, 0, Fraction(1, 15))
+    assert not on_integral_lattice(ctx, third_point)
+    assert on_integral_lattice(ctx, third_point, denominators=lattice_denominators(ctx))
+    entries = [(d, entry) for d in DEGREES for entry in catalog(d)]
+    assert len(entries) == 54
+    for d, entry in entries:
+        assert on_integral_lattice(FanoContext(d), entry.chern), (d, entry.name)

@@ -3,7 +3,10 @@
 The degree-2 root system is cross-checked against the explicit families
 alpha_i = 2e0 - e1 - ... - e7 + e_i, alpha_ij = e_i - e_j and
 alpha_ijk = e0 - e_i - e_j - e_k, all with both signs; the other degrees are
-pinned from the brute-force scan itself plus the saturation re-scan.
+pinned from the scan itself plus the saturation re-scan.  The orbit scan is
+compared, order included, with a reference scan over every ordered
+coordinate vector, and the orbit sizes (multinomials) give a second count
+that does not use the permutation expansion.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 import time
 from fractions import Fraction
+from math import factorial, isqrt, prod
 
 import pytest
 
@@ -18,6 +22,8 @@ from kuwalls.delpezzo import (
     DPContext,
     NefPosition,
     PicVector,
+    _distinct_permutations,
+    _orbits,
     enumerate_lines,
     enumerate_roots,
     intersect,
@@ -28,6 +34,52 @@ from kuwalls.delpezzo import (
 )
 
 COUNTS = {1: (240, 240), 2: (126, 56), 3: (72, 27), 4: (40, 16), 5: (20, 10)}
+# root systems A2 + A1 and A1 in degrees 6 and 7
+ALL_COUNTS = {**COUNTS, 6: (8, 6), 7: (2, 3)}
+
+
+def reference_fill(
+    remaining: int,
+    sum_needed: int,
+    sq_needed: int,
+    cmax: int,
+    prefix: list[int],
+    out: list[tuple[int, ...]],
+) -> None:
+    """Every ordered coordinate vector meeting the budgets, in lexicographic order."""
+    if remaining == 0:
+        if sum_needed == 0 and sq_needed == 0:
+            out.append(tuple(prefix))
+        return
+    if sq_needed < 0:
+        return
+    m = min(cmax, isqrt(sq_needed))
+    if abs(sum_needed) > remaining * m:
+        return
+    for c in range(-m, m + 1):
+        prefix.append(c)
+        reference_fill(remaining - 1, sum_needed - c, sq_needed - c * c, cmax, prefix, out)
+        prefix.pop()
+
+
+def reference_scan(ctx: DPContext, k_pairing: int, self_int: int, extra_box: int) -> list[PicVector]:
+    """The ordered-vector scan the orbit scan replaced, kept as its reference."""
+    d = ctx.dp_degree
+    disc = (9 - d) * (k_pairing * k_pairing - d * self_int)
+    if disc < 0:
+        return []
+    spread = isqrt(disc)
+    a_lo = -((3 * k_pairing + spread) // d) - 1 - extra_box
+    a_hi = (-3 * k_pairing + spread) // d + 1 + extra_box
+    found: list[PicVector] = []
+    for a in range(a_lo, a_hi + 1):
+        sq_needed = a * a - self_int
+        if sq_needed < 0:
+            continue
+        coords: list[tuple[int, ...]] = []
+        reference_fill(ctx.rank, -3 * a - k_pairing, sq_needed, abs(a) + 1 + extra_box, [], coords)
+        found.extend(PicVector(a, c) for c in coords)
+    return found
 
 
 def e(ctx: DPContext, i: int) -> PicVector:
@@ -99,6 +151,45 @@ def test_enumeration_box_saturation(d):
     ctx = DPContext(d)
     assert enumerate_roots(ctx, extra_box=2) == enumerate_roots(ctx)
     assert enumerate_lines(ctx, extra_box=2) == enumerate_lines(ctx)
+
+
+@pytest.mark.parametrize("extra_box", [0, 1])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_orbit_scan_matches_the_ordered_reference(d, extra_box):
+    ctx = DPContext(d)
+    assert enumerate_roots(ctx, extra_box=extra_box) == reference_scan(ctx, 0, -2, extra_box)
+    assert enumerate_lines(ctx, extra_box=extra_box) == reference_scan(ctx, -1, -1, extra_box)
+
+
+@pytest.mark.parametrize("orbit", [(1, 1, 0, 0, -1), (2, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0), (3, 2, 1, 0), (5,)])
+def test_distinct_permutations_match_itertools(orbit):
+    assert _distinct_permutations(orbit) == sorted(set(itertools.permutations(orbit)))
+
+
+def multinomial(orbit: tuple[int, ...]) -> int:
+    return factorial(len(orbit)) // prod(factorial(orbit.count(c)) for c in set(orbit))
+
+
+@pytest.mark.parametrize("d", sorted(ALL_COUNTS))
+def test_orbit_sizes_certify_the_counts(d):
+    ctx = DPContext(d)
+    root_orbits = _orbits(ctx, 0, -2, 0)
+    line_orbits = _orbits(ctx, -1, -1, 0)
+    for orbits in (root_orbits, line_orbits):
+        assert len(set(orbits)) == len(orbits)
+        assert all(list(c) == sorted(c, reverse=True) for _, c in orbits)
+    counts = tuple(sum(multinomial(c) for _, c in orbits) for orbits in (root_orbits, line_orbits))
+    assert counts == ALL_COUNTS[d]
+
+
+def test_degree_one_scan_budget():
+    ctx = DPContext(1)
+    start = time.perf_counter()
+    enumerate_roots(ctx)
+    enumerate_lines(ctx)
+    enumerate_roots(ctx, extra_box=1)
+    enumerate_lines(ctx, extra_box=1)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_scan_runtime_budget():
