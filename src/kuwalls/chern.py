@@ -104,6 +104,11 @@ class FanoContext:
         d = self.degree
         return (Fraction(self.h_c2, 12), Fraction(4 * d + self.h_c2, 12), Fraction(d), Fraction(d))
 
+    @functools.cached_property
+    def _chi_weight_numerators(self) -> tuple[int, ...]:
+        """``chi_weights`` as integer numerators over their lcm, then the lcm."""
+        return _over_lcm(*self.chi_weights)
+
     def integrate(self, x: ChernVector) -> Fraction:
         """Integrate a class over Y: the H^3 coefficient times H^3 = d."""
         return x.c3 * self.degree
@@ -126,9 +131,37 @@ def exp_h(t: Rational) -> ChernVector:
     return ChernVector(1, t, t * t / 2, t ** 3 / 6)
 
 
+def _over_lcm(*values: Fraction) -> tuple[int, ...]:
+    """The integer numerators of ``values`` over the lcm of their denominators, then the lcm."""
+    den = math.lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (den // v.denominator) for v in values), den)
+
+
 def twist(x: ChernVector, beta: Rational) -> ChernVector:
-    """Twisted character ch^beta = ch . exp(-beta H)."""
-    return ring_multiply(x, exp_h(-_frac(beta)))
+    """Twisted character ch^beta = ch . exp(-beta H), in closed form.
+
+    With x over the lcm L of its denominators and beta = p/q, the product
+    with exp(-beta H) = (1, -p/q, p^2/(2q^2), -p^3/(6q^3)) has the numerators
+
+        ch1^beta = (c1 q - p r) / (L q)
+        ch2^beta = (2 c2 q^2 - 2 p q c1 + p^2 r) / (2 L q^2)
+        ch3^beta = (6 c3 q^3 - 6 p q^2 c2 + 3 p^2 q c1 - p^3 r) / (6 L q^3)
+
+    in integers, so each coefficient is one ``Fraction(n, den)``; the result
+    equals ``ring_multiply(x, exp_h(-beta))``.
+    """
+    beta = _frac(beta)
+    if not beta:
+        return x
+    p, q = beta.numerator, beta.denominator
+    r, c1, c2, c3, den = _over_lcm(*x.coefficients())
+    den_q = den * q
+    return ChernVector(
+        x.r,
+        Fraction(c1 * q - p * r, den_q),
+        Fraction((2 * c2 * q - 2 * p * c1) * q + p * p * r, 2 * den_q * q),
+        Fraction(((6 * c3 * q - 6 * p * c2) * q + 3 * p * p * c1) * q - p * p * p * r, 6 * den_q * q * q),
+    )
 
 
 def dual(x: ChernVector) -> ChernVector:
@@ -176,15 +209,20 @@ def hrr_chi(ctx: FanoContext, x: ChernVector) -> Fraction:
 
 
 def chi_pair(ctx: FanoContext, x: ChernVector, y: ChernVector) -> Fraction:
-    """Euler pairing chi(E, F) = chi(E^v . F), with the product expanded in place."""
-    w0, w1, w2, w3 = ctx.chi_weights
-    a0, a1, a2, a3 = x.coefficients()
-    b0, b1, b2, b3 = y.coefficients()
-    return (
+    """Euler pairing chi(E, F) = chi(E^v . F), with the product expanded in place.
+
+    Each argument and the weights are put over their own lcm, so the whole
+    sum is integer arithmetic and one ``Fraction(n, den)``.
+    """
+    w0, w1, w2, w3, w_den = ctx._chi_weight_numerators
+    a0, a1, a2, a3, a_den = _over_lcm(*x.coefficients())
+    b0, b1, b2, b3, b_den = _over_lcm(*y.coefficients())
+    return Fraction(
         w0 * (a0 * b0)
         + w1 * (a0 * b1 - a1 * b0)
         + w2 * (a0 * b2 - a1 * b1 + a2 * b0)
-        + w3 * (a0 * b3 - a1 * b2 + a2 * b1 - a3 * b0)
+        + w3 * (a0 * b3 - a1 * b2 + a2 * b1 - a3 * b0),
+        a_den * b_den * w_den,
     )
 
 

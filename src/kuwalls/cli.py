@@ -135,7 +135,11 @@ def cmd_walls(args: argparse.Namespace) -> int:
         print(f"--x-bound must be a non-negative integer, got {args.x_bound}", file=sys.stderr)
         return USAGE_ERROR
 
-    report = chamber_report(ctx, target, beta0, denoms=denoms, x_bound=args.x_bound)
+    try:
+        report = chamber_report(ctx, target, beta0, denoms=denoms, x_bound=args.x_bound)
+    except ValueError as exc:  # the search refuses lattices over its budget
+        print(exc, file=sys.stderr)
+        return USAGE_ERROR
     payload = {
         "class": name,
         "chern": _vec(target),

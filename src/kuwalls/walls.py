@@ -13,24 +13,34 @@ factor d of the charges drops out, so wall loci are degree-uniform.
 The destabilizer search enumerates twisted triples (x, y, z) at a fixed
 beta0 on a configurable denominator lattice, subject to the constraints the
 class-w analysis derives: 0 < y < ch1^beta0(target), a solvable wall with
-alpha^2 > 0, and 0 <= Delta(candidate) <= Delta(target).  The discriminant
-sandwich pins z to a finite interval once x != 0; rank-zero candidates admit
-no such interval and are excluded from the scan (for torsion targets they
-are already ruled out by the sign constraint below).
+alpha^2 > 0, and 0 <= Delta(candidate) <= Delta(target).  The search runs
+on integer numerators: the twisted target is (R1, C1, S1) / T and a candidate
+is (x, Y / y_denom, Z / z_denom).  For each (x, Y) the discriminant sandwich
+pins Z to one closed interval once x != 0, found by exact floor and ceiling
+division; rank-zero candidates admit no such interval and are excluded (for
+torsion targets they are already ruled out by the sign constraint).  Since
+ch1^beta0(target) > 0, the numerator of alpha^2 falls strictly in z, so
+alpha^2 > 0 is a half-line in Z as well, and intersecting the two intervals
+(and z > 0 for torsion targets) admits candidates without testing any point.
+Each wall is computed from the twisted coordinates, where the beta-axis is
+shifted by beta0, and its centre shifted back by beta0.  The denominator of
+alpha^2 is -A, so every admitted candidate has A != 0: the walls found are
+always semicircles, never vertical lines.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chern import ChernVector, FanoContext, Rational, _frac, line_bundle, point_ideal, twist, w_vector
-from .tilt import discriminant
+from .chern import ChernVector, FanoContext, Rational, _frac, _over_lcm, line_bundle, point_ideal, twist, w_vector
 
 #: Denominator lattice (for y and z) under which the class-w search at
 #: beta = -1/2 produces its single wall; the default of every search.
 BASE_LATTICE = (2, 8)
+
+#: Most (x, y) points, and most candidates, one wall search may visit or build.
+SEARCH_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -103,46 +113,92 @@ class DestabilizerCandidate:
         return (self.x, self.y, self.z)
 
 
-def _wall_alpha_sq(
-    t_target: tuple[Fraction, Fraction, Fraction], x: int, y: Fraction, z: Fraction
-) -> Fraction | None:
-    """alpha^2 of slope equality at the search line, from twisted coordinates."""
-    r1, c1, s1 = t_target
-    denom = r1 * y - x * c1
-    if denom == 0:
-        return None
-    alpha_sq = 2 * (s1 * y - z * c1) / denom
-    return alpha_sq if alpha_sq > 0 else None
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
 
 
-def _lattice_points(lo: Fraction, hi: Fraction, denom: int, strict: bool) -> list[Fraction]:
-    """Multiples of 1/denom in [lo, hi] (or the open interval when strict)."""
-    first = math.ceil(lo * denom)
-    last = math.floor(hi * denom)
-    points = [Fraction(k, denom) for k in range(first, last + 1)]
-    if strict:
-        points = [p for p in points if lo < p < hi]
-    return points
+def _search(
+    target: ChernVector, beta0: Fraction, denoms: tuple[int, int], x_bound: int
+) -> list[tuple[Fraction, DestabilizerCandidate]]:
+    """The admitted candidates in (x, y, z) order, each with the alpha^2 of its wall at beta0.
 
+    Works on integer numerators: the twisted target (r1, c1, s1) is
+    (R1, C1, S1) / T, and a candidate is (x, Y / y_denom, Z / z_denom).
+    """
+    y_denom, z_denom = denoms
+    if y_denom < 1 or z_denom < 1 or x_bound < 0:
+        raise ValueError("denominators must be >= 1 and x_bound >= 0")
 
-def _search_x_slice(
-    x: int,
-    ys: list[Fraction],
-    t_target: tuple[Fraction, Fraction, Fraction],
-    delta_target: Fraction,
-    z_denom: int,
-    torsion_rules: bool,
-) -> list[tuple[int, Fraction, Fraction]]:
+    R1, C1, S1, big_t = _over_lcm(*twist(target, beta0).truncated())
+    # Delta = c1^2 - 2 r1 s1 is twist invariant; here it is delta_num / T^2.
+    delta_num = C1 * C1 - 2 * R1 * S1
+    torsion_rules = target.r == 0
+
+    # 0 < Y / y_denom < c1
+    y_count = (C1 * y_denom - 1) // big_t if C1 > 0 else 0
+    if y_count < 1 or delta_num < 0:
+        return []
+    x_count = x_bound if torsion_rules else 2 * x_bound
+    if x_count * y_count > SEARCH_BUDGET:
+        raise ValueError(
+            f"wall search over {x_count * y_count} (x, y) points is over the budget of {SEARCH_BUDGET}"
+        )
+    xs = range(1, x_bound + 1) if torsion_rules else [x for x in range(-x_bound, x_bound + 1) if x != 0]
+
+    # Times y_denom^2 z_denom T^2, the window 0 <= y^2 - 2xz <= Delta reads
+    # 0 <= Y^2 z_denom T^2 - 2x y_denom^2 T^2 Z <= delta_num y_denom^2 z_denom.
+    window = delta_num * y_denom * y_denom * z_denom
+    y_step = C1 * y_denom
+    intervals = []
+    total = 0
+    for x in xs:
+        slope = 2 * x * y_denom * y_denom * big_t * big_t
+        x_shift = C1 * x * y_denom
+        for Y in range(1, y_count + 1):
+            top = Y * Y * z_denom * big_t * big_t
+            if slope > 0:
+                z_lo, z_hi = _ceil_div(top - window, slope), top // slope
+            else:
+                z_lo, z_hi = _ceil_div(top, slope), (top - window) // slope
+            if torsion_rules:
+                z_lo = max(z_lo, 1)
+            # alpha^2 = 2 (S1 Y z_denom - Z C1 y_denom) / (z_denom (R1 Y - C1 x y_denom)):
+            # the numerator falls in Z (C1 > 0), so alpha^2 > 0 is a half-line in Z.
+            alpha_den = R1 * Y - x_shift
+            if alpha_den == 0:
+                continue
+            s_y = S1 * Y * z_denom
+            if alpha_den > 0:
+                z_hi = min(z_hi, (s_y - 1) // y_step)
+            else:
+                z_lo = max(z_lo, s_y // y_step + 1)
+            if z_lo <= z_hi:
+                intervals.append((x, Y, z_lo, z_hi, alpha_den, s_y))
+                total += z_hi - z_lo + 1
+    if total > SEARCH_BUDGET:
+        raise ValueError(f"wall search would build {total} candidates, over the budget of {SEARCH_BUDGET}")
+
     found = []
-    for y in ys:
-        # 0 <= y^2 - 2xz <= Delta(target) pins z to one closed interval.
-        bounds = sorted(((y * y - delta_target) / (2 * x), (y * y) / (2 * x)))
-        for z in _lattice_points(bounds[0], bounds[1], z_denom, strict=False):
-            if torsion_rules and z <= 0:
-                continue
-            if _wall_alpha_sq(t_target, x, y, z) is None:
-                continue
-            found.append((x, y, z))
+    p0, q0 = beta0.numerator, beta0.denominator
+    for x, Y, z_lo, z_hi, alpha_den, s_y in intervals:
+        y = Fraction(Y, y_denom)
+        # The wall in twisted coordinates: A = c1 x - y r1, B = s1 x - z r1,
+        # C = c1 z - y s1, so A T y_denom = -alpha_den, never 0 here.
+        a_num = -alpha_den
+        assert a_num != 0
+        b_x = S1 * x * z_denom
+        for Z in range(z_lo, z_hi + 1):
+            alpha_num = s_y - Z * y_step
+            # centre B/A = b_num / (z_denom a_num), shifted back by beta0;
+            # radius^2 = (B/A)^2 + 2C/A, and 2C/A is alpha^2 at beta0.
+            b_num = (b_x - Z * R1) * y_denom
+            centre_den = z_denom * a_num
+            wall = WallLocus.semicircle(
+                Fraction(p0 * centre_den + q0 * b_num, q0 * centre_den),
+                Fraction(b_num * b_num - 2 * alpha_num * centre_den, centre_den * centre_den),
+            )
+            candidate = DestabilizerCandidate(x=x, y=y, z=Fraction(Z, z_denom), wall=wall)
+            found.append((Fraction(2 * alpha_num, z_denom * alpha_den), candidate))
     return found
 
 
@@ -160,37 +216,17 @@ def destabilizer_search(
     (the mirror triple with both signs flipped describes the quotient of the
     same wall).  Candidates are sorted lexicographically by (x, y, z).
 
+    For torsion targets the bound on x is certified: z >= 1/z_denom and
+    2xz <= y^2 force x <= z_denom * y_max^2 / 2, with y_max the largest
+    lattice value below ch1^beta0, so any ``x_bound`` at or above it finds
+    every candidate (for the class w on (2, 40) it is 5, the default).
+
     The lattice defaults to (2, 8) in every degree, as in ``chamber_report``;
     refined lattices such as (2, 24) are searched only when passed explicitly.
+    A search over more than ``SEARCH_BUDGET`` (x, y) points or candidates
+    raises ``ValueError`` before building them.
     """
-    beta0 = _frac(beta0)
-    y_denom, z_denom = denoms
-    if y_denom < 1 or z_denom < 1 or x_bound < 0:
-        raise ValueError("denominators must be >= 1 and x_bound >= 0")
-
-    t = twist(target, beta0)
-    t_target = t.truncated()
-    delta_target = discriminant(target)
-    torsion_rules = target.r == 0
-
-    ys = _lattice_points(Fraction(0), t.c1, y_denom, strict=True) if t.c1 > 0 else []
-    if not ys or delta_target < 0:
-        return []
-
-    xs = [x for x in range(-x_bound, x_bound + 1) if x != 0]
-    if torsion_rules:
-        xs = [x for x in xs if x > 0]
-
-    triples = sorted(
-        triple for x in xs for triple in _search_x_slice(x, ys, t_target, delta_target, z_denom, torsion_rules)
-    )
-    candidates = []
-    for x, y, z in triples:
-        candidate_untwisted = twist(ChernVector(x, y, z, 0), -beta0)
-        wall = numerical_wall(ctx, target, candidate_untwisted)
-        assert wall is not None  # alpha^2 > 0 at beta0 guarantees a real locus
-        candidates.append(DestabilizerCandidate(x=x, y=y, z=z, wall=wall))
-    return candidates
+    return [candidate for _, candidate in _search(target, _frac(beta0), denoms, x_bound)]
 
 
 @dataclass(frozen=True)
@@ -241,13 +277,8 @@ def chamber_report(
     the report records the lattice and rule set actually used.
     """
     beta0 = _frac(beta0)
-    candidates = destabilizer_search(ctx, target, beta0, denoms=denoms, x_bound=x_bound)
-
     by_alpha: dict[Fraction, list[DestabilizerCandidate]] = {}
-    t = twist(target, beta0).truncated()
-    for cand in candidates:
-        alpha_sq = _wall_alpha_sq(t, cand.x, cand.y, cand.z)
-        assert alpha_sq is not None
+    for alpha_sq, cand in _search(target, beta0, denoms, x_bound):
         by_alpha.setdefault(alpha_sq, []).append(cand)
 
     walls = tuple(

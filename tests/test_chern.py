@@ -23,6 +23,7 @@ from kuwalls.chern import (
     canonical_class,
     chi_pair,
     dual,
+    exp_h,
     hrr_chi,
     lattice_denominators,
     line_bundle,
@@ -116,6 +117,19 @@ def test_twist_matches_series_oracle():
         b = sympy.Rational(beta.numerator, beta.denominator)
         series = sympy.Poly(sympy.series(sympy.exp(-b * H), H, 0, 4).removeO(), H)
         assert twist(x, beta) == oracle_multiply(x, from_poly(series))
+
+
+def test_twist_closed_form_matches_the_ring_product():
+    rng = random.Random(4004)
+    betas = [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(17)] + [Fraction(0), Fraction(-1, 2)]
+    for _ in range(200):
+        x = random_vector(rng)
+        for beta in betas:
+            twisted = twist(x, beta)
+            assert twisted == ring_multiply(x, exp_h(-beta))
+            assert twist(twisted, -beta) == x
+        assert twist(x, 0) == x
+        assert twist(x, Fraction(0)) == x
 
 
 def test_twisted_ch3_of_w_plus_points():

@@ -106,6 +106,14 @@ def test_walls_bad_arguments_are_usage_errors(capsys, tmp_path, flags):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_walls_over_budget_lattice_is_refused(capsys):
+    # the z window alone would hold about 2.9 * 10^10 lattice points
+    code, out, err = run(capsys, ["walls", "--degree", "2", "--class", "w", "--denoms", "2,100000000000"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+
+
 def test_roots_counts(capsys):
     doc = run_json(capsys, ["roots", "--dp", "2"])
     assert doc["payload"]["root_count"] == 126

@@ -1,9 +1,10 @@
 """Wall loci and destabilizer-search tests.
 
 The search is cross-checked against a deliberately naive oracle that scans a
-wide lattice box and re-applies every constraint from scratch, and the wall
-equation is checked against a symbolic expansion of the slope-equality cross
-product.
+wide lattice box and re-applies every constraint from scratch, and against
+the per-point ``Fraction`` scan that the integer kernel replaced (kept here as
+``reference_search``, walls and order included).  The wall equation is
+checked against a symbolic expansion of the slope-equality cross product.
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from kuwalls.catalog import point_ideal, v_vector, w_vector
+from kuwalls.catalog import catalog, point_ideal, v_vector, w_vector
 from kuwalls.chern import DEGREES, ChernVector, FanoContext, line_bundle, twist
 from kuwalls.tilt import discriminant, params, slope_tilt
 from kuwalls.walls import (
     BASE_LATTICE,
+    SEARCH_BUDGET,
+    DestabilizerCandidate,
+    WallCrossing,
     WallLocus,
     chamber_report,
     destabilizer_search,
@@ -62,6 +66,138 @@ def naive_destabilizer_search(ctx, target, beta0, denoms, x_bound):
                     continue
                 results.append((x, y, z))
     return sorted(results)
+
+
+def _wall_alpha_sq(t_target, x, y, z):
+    r1, c1, s1 = t_target
+    denom = r1 * y - x * c1
+    if denom == 0:
+        return None
+    alpha_sq = 2 * (s1 * y - z * c1) / denom
+    return alpha_sq if alpha_sq > 0 else None
+
+
+def _lattice_points(lo, hi, denom, strict):
+    first = math.ceil(lo * denom)
+    last = math.floor(hi * denom)
+    points = [Fraction(k, denom) for k in range(first, last + 1)]
+    if strict:
+        points = [p for p in points if lo < p < hi]
+    return points
+
+
+def _search_x_slice(x, ys, t_target, delta_target, z_denom, torsion_rules):
+    found = []
+    for y in ys:
+        bounds = sorted(((y * y - delta_target) / (2 * x), (y * y) / (2 * x)))
+        for z in _lattice_points(bounds[0], bounds[1], z_denom, strict=False):
+            if torsion_rules and z <= 0:
+                continue
+            if _wall_alpha_sq(t_target, x, y, z) is None:
+                continue
+            found.append((x, y, z))
+    return found
+
+
+def reference_search(ctx, target, beta0, denoms, x_bound):
+    """The per-point Fraction scan, as (alpha^2, candidate) pairs in (x, y, z) order."""
+    y_denom, z_denom = denoms
+    t = twist(target, beta0)
+    t_target = t.truncated()
+    delta_target = discriminant(target)
+    torsion_rules = target.r == 0
+    ys = _lattice_points(Fraction(0), t.c1, y_denom, strict=True) if t.c1 > 0 else []
+    if not ys or delta_target < 0:
+        return []
+    xs = [x for x in range(-x_bound, x_bound + 1) if x != 0 and (x > 0 or not torsion_rules)]
+    triples = sorted(
+        triple for x in xs for triple in _search_x_slice(x, ys, t_target, delta_target, z_denom, torsion_rules)
+    )
+    found = []
+    for x, y, z in triples:
+        wall = numerical_wall(ctx, target, twist(ChernVector(x, y, z, 0), -beta0))
+        assert wall is not None
+        found.append((_wall_alpha_sq(t_target, x, y, z), DestabilizerCandidate(x=x, y=y, z=z, wall=wall)))
+    return found
+
+
+def reference_walls(pairs):
+    """The crossings of ``chamber_report``, grouped from ``reference_search`` pairs."""
+    by_alpha = {}
+    for alpha_sq, cand in pairs:
+        by_alpha.setdefault(alpha_sq, []).append(cand)
+    return tuple(
+        WallCrossing(alpha_sq=a, locus=group[0].wall, candidates=tuple(group)) for a, group in sorted(by_alpha.items())
+    )
+
+
+GRID_BETAS = [Fraction(-3, 2) + Fraction(3, 8) * k for k in range(6)]
+GRID_LATTICES = [(2, 8), (2, 24), (3, 40)]
+
+
+def grid_classes(d, rng, count):
+    """The distinct catalog classes, w, and ``count`` seeded random classes with ranks cycling through -2..2."""
+    ctx = FanoContext(d)
+    classes = list(dict.fromkeys([entry.chern for entry in catalog(d)] + [w_vector(ctx)]))
+    for i in range(count):
+        classes.append(
+            ChernVector(
+                (-2, -1, 0, 1, 2)[i % 5],
+                Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3])),
+                Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 4, 6, 8])),
+                Fraction(rng.randint(-3, 3), rng.choice([1, 6])),
+            )
+        )
+    return classes
+
+
+@pytest.mark.parametrize("d", DEGREES)
+def test_search_and_report_match_the_fraction_reference(d):
+    ctx = FanoContext(d)
+    rng = random.Random(4000 + d)
+    candidates = 0
+    for target in grid_classes(d, rng, 5):
+        for beta0 in GRID_BETAS:
+            for denoms in GRID_LATTICES:
+                reference = reference_search(ctx, target, beta0, denoms, 5)
+                found = destabilizer_search(ctx, target, beta0, denoms=denoms, x_bound=5)
+                assert found == [cand for _, cand in reference], (target, beta0, denoms)
+                report = chamber_report(ctx, target, beta0, denoms=denoms, x_bound=5)
+                assert report.walls == reference_walls(reference), (target, beta0, denoms)
+                candidates += len(found)
+    assert candidates > 0
+
+
+def test_large_lattice_matches_the_fraction_reference():
+    # the benchmark's largest searches: the class w on (8, 128) with x_bound 40
+    for d in (1, 5):
+        ctx = FanoContext(d)
+        report = chamber_report(ctx, w_vector(ctx), BETA0, denoms=(8, 128), x_bound=40)
+        assert report.walls == reference_walls(reference_search(ctx, w_vector(ctx), BETA0, (8, 128), 40))
+        assert sum(len(crossing.candidates) for crossing in report.walls) > 100
+
+
+def test_admitted_candidates_never_have_a_zero_a_coefficient():
+    # twisted target (2, 1, -1): the points (1, 1/2, z) have A = c1 x - y r1 = 0
+    # and lie in the discriminant window, but alpha^2 is undefined there
+    beta0 = Fraction(1, 3)
+    target = twist(ChernVector(2, 1, -1, 0), -beta0)
+    found = destabilizer_search(CTX2, target, beta0, denoms=(2, 8), x_bound=4)
+    delta = discriminant(target)
+    window = [z for z in (Fraction(k, 8) for k in range(-40, 41)) if 0 <= Fraction(1, 4) - 2 * z <= delta]
+    assert window
+    assert found
+    for cand in found:
+        assert (cand.x, cand.y) != (1, Fraction(1, 2))
+    rng = random.Random(31)
+    for d in DEGREES:
+        ctx = FanoContext(d)
+        for target in grid_classes(d, rng, 10):
+            for beta0 in GRID_BETAS:
+                t = twist(target, beta0)
+                for cand in destabilizer_search(ctx, target, beta0, denoms=(2, 24), x_bound=5):
+                    assert t.c1 * cand.x - cand.y * t.r != 0
+                    assert cand.wall.kind == "semicircle"
 
 
 def test_wall_for_w_and_structure_sheaf():
@@ -248,3 +384,37 @@ def test_search_rejects_bad_arguments():
         destabilizer_search(CTX2, w_vector(CTX2), BETA0, denoms=(0, 8))
     with pytest.raises(ValueError):
         destabilizer_search(CTX2, w_vector(CTX2), BETA0, x_bound=-1)
+
+
+@pytest.mark.parametrize("denoms", [(2, 8), (2, 24), (2, 40)])
+@pytest.mark.parametrize("d", DEGREES)
+def test_torsion_x_bound_is_certified(d, denoms):
+    # z >= 1/z_denom and 2xz <= y^2 force x <= z_denom * y_max^2 / 2
+    ctx = FanoContext(d)
+    y_denom, z_denom = denoms
+    bounds = {}
+    for entry in catalog(d):
+        target = entry.chern
+        if target.r != 0:
+            continue
+        c1 = twist(target, BETA0).c1
+        y_max = Fraction(math.ceil(c1 * y_denom) - 1, y_denom)
+        bound = math.floor(z_denom * y_max * y_max / 2) if y_max > 0 else 0
+        found = destabilizer_search(ctx, target, BETA0, denoms=denoms, x_bound=bound)
+        assert found == destabilizer_search(ctx, target, BETA0, denoms=denoms, x_bound=2 * bound), entry.name
+        assert all(cand.x <= bound for cand in found)
+        bounds[target] = bound
+    if (d, denoms) == (5, (2, 40)):
+        assert bounds[w_vector(ctx)] == 5
+
+
+def test_search_refuses_over_budget_lattices():
+    # (x, y) points: 5 values of x times 10^7 - 1 values of y, refused before any list is built
+    with pytest.raises(ValueError, match=str(SEARCH_BUDGET)) as points:
+        destabilizer_search(CTX2, w_vector(CTX2), BETA0, denoms=(10**7, 8))
+    assert str(5 * (10**7 - 1)) in str(points.value)
+    # one (x, y) point per x, but about 2.9 * 10^10 candidates in the z windows
+    with pytest.raises(ValueError, match=str(SEARCH_BUDGET)) as candidates:
+        destabilizer_search(CTX2, w_vector(CTX2), BETA0, denoms=(2, 10**11))
+    total = sum(10**11 // (8 * x) for x in range(1, 6))
+    assert str(total) in str(candidates.value)
