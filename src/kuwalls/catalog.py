@@ -16,9 +16,9 @@ Euler-characteristic level: chi(O, E) = chi(O(1), E) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .chern import (
     ChernVector,
     FanoContext,
@@ -53,8 +53,7 @@ def pushforward_from_section(ctx: FanoContext, rank: int, c1_dot_h: int, points:
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     """A named object: exact character, lattice coordinates when in the residual category.
 
     ``ku_class`` is None for objects outside the residual category;
@@ -62,11 +61,21 @@ class CatalogEntry:
     pinned; ``source`` records the geometric origin of the class.
     """
 
+    __slots__ = ("name", "chern", "ku_class", "ext_table", "source")
     name: str
     chern: ChernVector
     ku_class: KuClass | None
     ext_table: ExtTable | None
     source: str
+
+    def __init__(
+        self, name: str, chern: ChernVector, ku_class: KuClass | None, ext_table: ExtTable | None, source: str
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "chern", chern)
+        object.__setattr__(self, "ku_class", ku_class)
+        object.__setattr__(self, "ext_table", ext_table)
+        object.__setattr__(self, "source", source)
 
 
 def catalog(d: int) -> list[CatalogEntry]:
@@ -162,23 +171,36 @@ def ku_membership_chi(ctx: FanoContext, x: ChernVector) -> tuple[Fraction, Fract
     return (chi_pair(ctx, line_bundle(0), x), chi_pair(ctx, line_bundle(1), x))
 
 
-@dataclass(frozen=True)
-class EntryVerdict:
+class EntryVerdict(Record):
+    __slots__ = ("name", "ku_membership_ok", "round_trip_ok", "ext_table_ok", "lattice_ok")
     name: str
     ku_membership_ok: bool
     round_trip_ok: bool
     ext_table_ok: bool
     lattice_ok: bool
 
+    def __init__(
+        self, name: str, ku_membership_ok: bool, round_trip_ok: bool, ext_table_ok: bool, lattice_ok: bool
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ku_membership_ok", ku_membership_ok)
+        object.__setattr__(self, "round_trip_ok", round_trip_ok)
+        object.__setattr__(self, "ext_table_ok", ext_table_ok)
+        object.__setattr__(self, "lattice_ok", lattice_ok)
+
     @property
     def passed(self) -> bool:
         return self.ku_membership_ok and self.round_trip_ok and self.ext_table_ok and self.lattice_ok
 
 
-@dataclass(frozen=True)
-class CatalogVerdict:
+class CatalogVerdict(Record):
+    __slots__ = ("degree", "entries")
     degree: int
     entries: tuple[EntryVerdict, ...]
+
+    def __init__(self, degree: int, entries: tuple[EntryVerdict, ...]) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def passed(self) -> bool:

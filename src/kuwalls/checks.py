@@ -7,9 +7,9 @@ if every requested check passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .catalog import ext_table_fixtures, ku_membership_chi, lookup, verify_catalog
 from .chern import DEGREES, ChernVector, FanoContext, line_bundle, point_ideal, v_vector, w_vector
 from .delpezzo import (
@@ -39,12 +39,18 @@ from .walls import BASE_LATTICE, chamber_report, destabilizer_search, w_decompos
 ROOT_LINE_COUNTS = {1: (240, 240), 2: (126, 56), 3: (72, 27), 4: (40, 16), 5: (20, 10)}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("name", "degree", "passed", "detail")
     name: str
     degree: int
     passed: bool
     detail: str
+
+    def __init__(self, name: str, degree: int, passed: bool, detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def line(self) -> str:

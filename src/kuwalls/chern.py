@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from ._record import Record
 
 Rational = Union[int, Fraction]
 
@@ -29,20 +30,20 @@ def _frac(value: Rational) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(Record):
     """Exact rational coefficients (ch0, ch1, ch2, ch3) of a class in H^*(Y, Q)."""
 
+    __slots__ = ("r", "c1", "c2", "c3")
     r: Fraction
     c1: Fraction
     c2: Fraction
     c3: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", _frac(self.r))
-        object.__setattr__(self, "c1", _frac(self.c1))
-        object.__setattr__(self, "c2", _frac(self.c2))
-        object.__setattr__(self, "c3", _frac(self.c3))
+    def __init__(self, r: Rational, c1: Rational, c2: Rational, c3: Rational) -> None:
+        object.__setattr__(self, "r", _frac(r))
+        object.__setattr__(self, "c1", _frac(c1))
+        object.__setattr__(self, "c2", _frac(c2))
+        object.__setattr__(self, "c3", _frac(c3))
 
     def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.r, self.c1, self.c2, self.c3)
@@ -72,8 +73,7 @@ UNIT = ChernVector(1, 0, 0, 0)
 ZERO = ChernVector(0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
-class FanoContext:
+class FanoContext(Record):
     """Degree d = H^3 together with the intersection data driving Riemann-Roch.
 
     ``h_c2`` is H.c2; the value 12 follows from chi(O) = 1 via td3 = c1 c2 / 24
@@ -82,12 +82,15 @@ class FanoContext:
     coefficients.
     """
 
+    __slots__ = ("degree", "h_c2", "__dict__")  # the dict holds the cached properties
     degree: int
-    h_c2: int = 12
+    h_c2: int
 
-    def __post_init__(self) -> None:
-        if self.degree not in DEGREES:
-            raise ValueError(f"degree must be one of {DEGREES}, got {self.degree}")
+    def __init__(self, degree: int, h_c2: int = 12) -> None:
+        if degree not in DEGREES:
+            raise ValueError(f"degree must be one of {DEGREES}, got {degree}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "h_c2", h_c2)
 
     @functools.cached_property
     def todd_vector(self) -> ChernVector:

@@ -10,6 +10,10 @@ Subcommands
 Exit codes: 0 success, 1 check failure, 2 usage error.  Rationals are
 serialized as canonical strings "p/q" (plain "p" for integers); output bytes
 are identical across repeated runs.
+
+Each ``cmd_*`` function imports the kuwalls modules it uses, so a call pays
+only for its own subcommand's imports (``--version`` loads no computing
+module).
 """
 
 from __future__ import annotations
@@ -19,22 +23,14 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import CatalogEntry, catalog, lookup, verify_catalog
-from .chern import DEGREES, ChernVector, FanoContext
-from .checks import run_all_checks, run_checks
-from .delpezzo import (
-    DPContext,
-    enumerate_lines,
-    enumerate_roots,
-    line_pairs,
-    nef_interior_count,
-    root_as_line_difference,
-)
-from .diagram import write_svg
-from .kulattice import euler_matrix, euler_matrix_from_chern
-from .walls import BASE_LATTICE, chamber_report
+
+if TYPE_CHECKING:
+    from .catalog import CatalogEntry
+    from .chern import ChernVector
+    from .walls import WallLocus
 
 SCHEMA_VERSION = "1.0"
 USAGE_ERROR = 2
@@ -69,31 +65,25 @@ def _parse_degree(value: str) -> int:
     return degree
 
 
-def _require_degree(degree: int) -> None:
-    if degree not in DEGREES:
+def _require_degree(degree: int, degrees: tuple[int, ...]) -> None:
+    if degree not in degrees:
         print(f"degree out of range: {degree} (expected 1..5)", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
-def _parse_class(degree: int, text: str) -> tuple[str, ChernVector]:
-    """A catalog name ('w', 'I_p', ...) or four comma-separated rationals."""
-    if "," in text:
-        parts = text.split(",")
-        if len(parts) != 4:
-            print(f"cannot parse class {text!r}: expected four comma-separated rationals", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-        try:
-            coefficients = [Fraction(part.strip()) for part in parts]
-        except (ValueError, ZeroDivisionError):
-            print(f"cannot parse class {text!r}: bad rational", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-        return (text, ChernVector(*coefficients))
-    try:
-        entry = lookup(degree, text)
-    except KeyError:
-        print(f"cannot parse class {text!r}: not a catalog entry", file=sys.stderr)
+def _parse_raw_class(text: str) -> list[Fraction] | None:
+    """The four rationals of 'r,c1,c2,c3', or None for a catalog name ('w', 'I_p', ...)."""
+    if "," not in text:
+        return None
+    parts = text.split(",")
+    if len(parts) != 4:
+        print(f"cannot parse class {text!r}: expected four comma-separated rationals", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    return (entry.name, entry.chern)
+    try:
+        return [Fraction(part.strip()) for part in parts]
+    except (ValueError, ZeroDivisionError):
+        print(f"cannot parse class {text!r}: bad rational", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
 
 
 def _parse_rational(value: str, flag: str) -> Fraction:
@@ -105,7 +95,10 @@ def _parse_rational(value: str, flag: str) -> Fraction:
 
 
 def cmd_euler(args: argparse.Namespace) -> int:
-    _require_degree(args.degree)
+    from .chern import DEGREES, FanoContext
+    from .kulattice import euler_matrix, euler_matrix_from_chern
+
+    _require_degree(args.degree, DEGREES)
     d = args.degree
     from_lattice = euler_matrix(d)
     from_riemann_roch = euler_matrix_from_chern(FanoContext(d))
@@ -120,9 +113,23 @@ def cmd_euler(args: argparse.Namespace) -> int:
 
 
 def cmd_walls(args: argparse.Namespace) -> int:
-    _require_degree(args.degree)
+    from .catalog import lookup
+    from .chern import DEGREES, ChernVector, FanoContext
+    from .diagram import write_svg
+    from .walls import BASE_LATTICE, chamber_report
+
+    _require_degree(args.degree, DEGREES)
     ctx = FanoContext(args.degree)
-    name, target = _parse_class(args.degree, args.klass)
+    coefficients = _parse_raw_class(args.klass)
+    if coefficients is not None:
+        name, target = args.klass, ChernVector(*coefficients)
+    else:
+        try:
+            entry = lookup(args.degree, args.klass)
+        except KeyError:
+            print(f"cannot parse class {args.klass!r}: not a catalog entry", file=sys.stderr)
+            return USAGE_ERROR
+        name, target = entry.name, entry.chern
     beta0 = _parse_rational(args.beta, "--beta")
     denoms = BASE_LATTICE
     if args.denoms is not None:
@@ -172,7 +179,7 @@ def cmd_walls(args: argparse.Namespace) -> int:
     return 0
 
 
-def _locus_payload(locus) -> dict:
+def _locus_payload(locus: WallLocus) -> dict:
     if locus.kind == "semicircle":
         return {
             "kind": "semicircle",
@@ -183,6 +190,15 @@ def _locus_payload(locus) -> dict:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
+    from .delpezzo import (
+        DPContext,
+        enumerate_lines,
+        enumerate_roots,
+        line_pairs,
+        nef_interior_count,
+        root_as_line_difference,
+    )
+
     if not 1 <= args.dp <= 7:
         print(f"degree out of range: {args.dp} (expected 1..7)", file=sys.stderr)
         return USAGE_ERROR
@@ -238,7 +254,10 @@ def _entry_payload(entry: CatalogEntry) -> dict:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    _require_degree(args.degree)
+    from .catalog import catalog, verify_catalog
+    from .chern import DEGREES
+
+    _require_degree(args.degree, DEGREES)
     verdict = verify_catalog(args.degree)
     payload = {
         "entries": [_entry_payload(entry) for entry in catalog(args.degree)],
@@ -249,6 +268,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .checks import run_all_checks, run_checks
+    from .chern import DEGREES
+
     if args.all:
         results = run_all_checks()
         degree = 0
@@ -256,7 +278,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.degree is None:
             print("check requires --degree N or --all", file=sys.stderr)
             return USAGE_ERROR
-        _require_degree(args.degree)
+        _require_degree(args.degree, DEGREES)
         results = run_checks(args.degree)
         degree = args.degree
     payload = {
@@ -278,11 +300,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that accepts negative rationals like -1/2 as option values."""
+    """ArgumentParser that takes negative rationals like -1/2 as option values, not options.
+
+    So it does a raw class whose first part is negative, like -2,1/2,3,-3.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)(,.*)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:

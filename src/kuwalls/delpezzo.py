@@ -24,17 +24,22 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class PicVector:
+
+class PicVector(Record):
     """Integer vector a e0 + sum(c_i e_i) in the Picard lattice of the surface."""
 
+    __slots__ = ("e0", "e")
     e0: int
     e: tuple[int, ...]
+
+    def __init__(self, e0: int, e: tuple[int, ...]) -> None:
+        object.__setattr__(self, "e0", e0)
+        object.__setattr__(self, "e", e)
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.e0, *self.e)
@@ -52,15 +57,16 @@ class PicVector:
         return PicVector(n * self.e0, tuple(n * a for a in self.e))
 
 
-@dataclass(frozen=True)
-class DPContext:
+class DPContext(Record):
     """A del Pezzo surface of degree K^2 = dp_degree, 1 <= dp_degree <= 7."""
 
+    __slots__ = ("dp_degree",)
     dp_degree: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.dp_degree <= 7:
-            raise ValueError(f"dp_degree must be in 1..7, got {self.dp_degree}")
+    def __init__(self, dp_degree: int) -> None:
+        if not 1 <= dp_degree <= 7:
+            raise ValueError(f"dp_degree must be in 1..7, got {dp_degree}")
+        object.__setattr__(self, "dp_degree", dp_degree)
 
     @property
     def rank(self) -> int:

@@ -15,20 +15,24 @@ the symmetry dim Ext^i = dim Ext^(2-i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .chern import ChernVector, DEGREES, FanoContext, chi_pair, v_vector, w_vector
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class KuClass:
+class KuClass(Record):
     """Integer coordinates (a, b) with respect to the basis (v, w)."""
 
+    __slots__ = ("a", "b")
     a: int
     b: int
+
+    def __init__(self, a: int, b: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __add__(self, other: "KuClass") -> "KuClass":
         return KuClass(self.a + other.a, self.b + other.b)
@@ -78,16 +82,20 @@ class NotInKuSpanError(ValueError):
         super().__init__(f"not in the span of v and w: {coefficient} should be {expected}, got {actual}")
 
 
-@dataclass(frozen=True)
-class KuCoordinates:
+class KuCoordinates(Record):
     """Exact coordinates of a class in the (v, w) basis, with an integrality flag.
 
     Rational, non-integer coordinates are legitimate scratch values (halves of
     classes and the like), so they are flagged rather than rejected.
     """
 
+    __slots__ = ("a", "b")
     a: Fraction
     b: Fraction
+
+    def __init__(self, a: Fraction, b: Fraction) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def is_integral(self) -> bool:
@@ -152,25 +160,31 @@ def classes_with_self_pairing(d: int, target: int, bound: int) -> list[KuClass]:
     return sorted(found, key=lambda c: (c.a, c.b))
 
 
-@dataclass(frozen=True)
-class ExtTable:
+class ExtTable(Record):
     """Dimensions (hom, ext1, ext2, ext3) of the graded endomorphisms of an object."""
 
+    __slots__ = ("dims",)
     dims: tuple[int, int, int, int]
 
-    def __post_init__(self) -> None:
-        if len(self.dims) != 4 or any(n < 0 for n in self.dims):
+    def __init__(self, dims: tuple[int, int, int, int]) -> None:
+        if len(dims) != 4 or any(n < 0 for n in dims):
             raise ValueError("an Ext table is four non-negative integers")
+        object.__setattr__(self, "dims", dims)
 
     def alternating_sum(self) -> int:
         return self.dims[0] - self.dims[1] + self.dims[2] - self.dims[3]
 
 
-@dataclass(frozen=True)
-class ExtTableVerdict:
+class ExtTableVerdict(Record):
+    __slots__ = ("alternating_sum_ok", "no_ext3", "serre_symmetric")
     alternating_sum_ok: bool
     no_ext3: bool
     serre_symmetric: bool | None  # None when the numeric Serre check was not requested
+
+    def __init__(self, alternating_sum_ok: bool, no_ext3: bool, serre_symmetric: bool | None) -> None:
+        object.__setattr__(self, "alternating_sum_ok", alternating_sum_ok)
+        object.__setattr__(self, "no_ext3", no_ext3)
+        object.__setattr__(self, "serre_symmetric", serre_symmetric)
 
     @property
     def passed(self) -> bool:

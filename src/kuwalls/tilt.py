@@ -14,30 +14,34 @@ unchanged.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .chern import ChernVector, FanoContext, Rational, _frac, twist
 
 
-@dataclass(frozen=True)
-class StabilityParams:
+class StabilityParams(Record):
     """A point (alpha, beta) of the upper half-plane, with alpha stored squared."""
 
+    __slots__ = ("alpha_sq", "beta")
     alpha_sq: Fraction
     beta: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha_sq", _frac(self.alpha_sq))
-        object.__setattr__(self, "beta", _frac(self.beta))
+    def __init__(self, alpha_sq: Rational, beta: Rational) -> None:
+        object.__setattr__(self, "alpha_sq", _frac(alpha_sq))
+        object.__setattr__(self, "beta", _frac(beta))
         if self.alpha_sq <= 0:
             raise ValueError(f"alpha_sq must be positive, got {self.alpha_sq}")
 
 
-@dataclass(frozen=True)
-class ChargeValue:
+class ChargeValue(Record):
+    __slots__ = ("re", "im")
     re: Fraction
     im: Fraction
+
+    def __init__(self, re: Fraction, im: Fraction) -> None:
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     def rotated_by_neg_i(self) -> "ChargeValue":
         """Multiplication by 1/i = -i: (re + i im) / i = im - i re."""
@@ -45,11 +49,14 @@ class ChargeValue:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Slope:
+class Slope(Record):
     """A slope value; ``value is None`` encodes +infinity (vanishing imaginary part)."""
 
+    __slots__ = ("value",)
     value: Fraction | None
+
+    def __init__(self, value: Fraction | None) -> None:
+        object.__setattr__(self, "value", value)
 
     @property
     def is_infinite(self) -> bool:

@@ -30,9 +30,9 @@ always semicircles, never vertical lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .chern import ChernVector, FanoContext, Rational, _frac, _over_lcm, line_bundle, point_ideal, twist, w_vector
 
 #: Denominator lattice (for y and z) under which the class-w search at
@@ -43,14 +43,26 @@ BASE_LATTICE = (2, 8)
 SEARCH_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class WallLocus:
+class WallLocus(Record):
     """A numerical wall: a semicircle centered on the beta-axis, or a vertical line."""
 
+    __slots__ = ("kind", "center_beta", "radius_sq", "beta0")
     kind: str  # "semicircle" | "vertical"
-    center_beta: Fraction | None = None
-    radius_sq: Fraction | None = None
-    beta0: Fraction | None = None
+    center_beta: Fraction | None
+    radius_sq: Fraction | None
+    beta0: Fraction | None
+
+    def __init__(
+        self,
+        kind: str,
+        center_beta: Fraction | None = None,
+        radius_sq: Fraction | None = None,
+        beta0: Fraction | None = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "center_beta", center_beta)
+        object.__setattr__(self, "radius_sq", radius_sq)
+        object.__setattr__(self, "beta0", beta0)
 
     @classmethod
     def semicircle(cls, center_beta: Rational, radius_sq: Rational) -> "WallLocus":
@@ -100,14 +112,20 @@ def numerical_wall(ctx: FanoContext, target: ChernVector, other: ChernVector) ->
     return None
 
 
-@dataclass(frozen=True)
-class DestabilizerCandidate:
+class DestabilizerCandidate(Record):
     """Twisted truncated class (x, y, z) at the search's beta0, with its wall."""
 
+    __slots__ = ("x", "y", "z", "wall")
     x: int
     y: Fraction
     z: Fraction
     wall: WallLocus
+
+    def __init__(self, x: int, y: Fraction, z: Fraction, wall: WallLocus) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "wall", wall)
 
     def key(self) -> tuple[int, Fraction, Fraction]:
         return (self.x, self.y, self.z)
@@ -229,27 +247,52 @@ def destabilizer_search(
     return [candidate for _, candidate in _search(target, _frac(beta0), denoms, x_bound)]
 
 
-@dataclass(frozen=True)
-class WallCrossing:
+class WallCrossing(Record):
     """One wall met by the line beta = beta0, with the candidates cutting it out."""
 
+    __slots__ = ("alpha_sq", "locus", "candidates")
     alpha_sq: Fraction
     locus: WallLocus
     candidates: tuple[DestabilizerCandidate, ...]
 
+    def __init__(self, alpha_sq: Fraction, locus: WallLocus, candidates: tuple[DestabilizerCandidate, ...]) -> None:
+        object.__setattr__(self, "alpha_sq", alpha_sq)
+        object.__setattr__(self, "locus", locus)
+        object.__setattr__(self, "candidates", candidates)
 
-@dataclass(frozen=True)
-class ChamberReport:
+
+class ChamberReport(Record):
     """Walls crossing a vertical line, chamber count, and the rule set used."""
 
+    __slots__ = ("degree", "target", "beta0", "lattice", "x_bound", "torsion_rules", "walls", "decomposition_verified")
     degree: int
     target: ChernVector
     beta0: Fraction
     lattice: tuple[int, int]
     x_bound: int
     torsion_rules: bool
-    walls: tuple[WallCrossing, ...] = field(default_factory=tuple)
-    decomposition_verified: bool | None = None
+    walls: tuple[WallCrossing, ...]
+    decomposition_verified: bool | None
+
+    def __init__(
+        self,
+        degree: int,
+        target: ChernVector,
+        beta0: Fraction,
+        lattice: tuple[int, int],
+        x_bound: int,
+        torsion_rules: bool,
+        walls: tuple[WallCrossing, ...] = (),
+        decomposition_verified: bool | None = None,
+    ) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "beta0", beta0)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "x_bound", x_bound)
+        object.__setattr__(self, "torsion_rules", torsion_rules)
+        object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "decomposition_verified", decomposition_verified)
 
     @property
     def chamber_count(self) -> int:

@@ -85,6 +85,13 @@ def test_walls_with_raw_class_and_custom_lattice(capsys):
     assert doc["payload"]["chern"] == ["0", "1", "-1/2", "-1/3"]
 
 
+def test_raw_class_with_negative_rank_needs_no_equals_sign(capsys):
+    spaced = run(capsys, ["walls", "--degree", "1", "--class", "-2,1/2,3,-3"])
+    joined = run(capsys, ["walls", "--degree", "1", "--class=-2,1/2,3,-3"])
+    assert spaced == joined
+    assert spaced[0] == 0 and json.loads(spaced[1])["payload"]["chern"] == ["-2", "1/2", "3", "-3"]
+
+
 def test_walls_rejects_unparsable_class(capsys):
     code, out, err = run(capsys, ["walls", "--degree", "2", "--class", "mystery"])
     assert code == 2
@@ -197,7 +204,7 @@ def test_exit_code_one_on_failing_check(capsys, monkeypatch):
         return CheckResult(name="forced failure", degree=d, passed=False, detail="injected")
 
     monkeypatch.setattr(checks_module, "CHECKS", (failing,))
-    monkeypatch.setattr("kuwalls.cli.run_checks", lambda d: [failing(d)])
+    monkeypatch.setattr("kuwalls.checks.run_checks", lambda d: [failing(d)])
     code, out, err = run(capsys, ["check", "--degree", "2"])
     assert code == 1
     doc = json.loads(out)

@@ -1,4 +1,18 @@
-"""Import layering of the package: module-level imports only, and no cycles."""
+"""Import layering of the package: where imports may sit, and no cycles.
+
+Imports sit at module level, with two narrow exceptions that keep each CLI
+call from importing more than it uses:
+
+* each ``cli.cmd_*`` subcommand imports, in its body, the kuwalls modules it
+  calls (``CLI_LOCAL_IMPORTS`` lists them);
+* the package's PEP 562 ``__getattr__`` loads the module defining a public
+  name with ``importlib.import_module``, the only dynamic import in the
+  package (no other module names ``importlib`` or ``__import__``).
+
+Every other function-local import fails the first test.  The acyclicity test
+walks function bodies too, and counts the package's lazy exports as imports
+of ``__init__``.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +24,15 @@ import kuwalls
 
 PACKAGE = Path(kuwalls.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+#: The functions allowed to import, with the package modules each imports.
+CLI_LOCAL_IMPORTS = {
+    "cmd_euler": {"chern", "kulattice"},
+    "cmd_walls": {"catalog", "chern", "diagram", "walls"},
+    "cmd_roots": {"delpezzo"},
+    "cmd_catalog": {"catalog", "chern"},
+    "cmd_check": {"checks", "chern"},
+}
 
 
 def _package_modules(node: ast.Import | ast.ImportFrom) -> set[str]:
@@ -23,16 +46,56 @@ def _package_modules(node: ast.Import | ast.ImportFrom) -> set[str]:
     return {p[1] if len(p) > 1 and p[1] in MODULES else "__init__" for p in parts}
 
 
-def test_no_imports_inside_functions():
-    local = [
-        f"{name}.py:{inner.lineno} in {func.name}"
-        for name, tree in MODULES.items()
+def _local_imports(tree: ast.Module) -> dict[str, list[ast.Import | ast.ImportFrom]]:
+    """The imports inside each function body, by function name."""
+    return {
+        func.name: [inner for inner in ast.walk(func) if isinstance(inner, (ast.Import, ast.ImportFrom))]
         for func in ast.walk(tree)
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for inner in ast.walk(func)
-        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
+
+
+def test_no_imports_inside_functions():
+    local = [
+        f"{name}.py:{inner.lineno} in {func}"
+        for name, tree in MODULES.items()
+        for func, imports in _local_imports(tree).items()
+        for inner in imports
+        if not (name == "cli" and func in CLI_LOCAL_IMPORTS)
     ]
     assert local == []
+
+
+def test_cli_subcommands_import_only_their_own_modules():
+    imports = _local_imports(MODULES["cli"])
+    found = {
+        func: {target for node in imports[func] for target in _package_modules(node)} for func in CLI_LOCAL_IMPORTS
+    }
+    assert found == CLI_LOCAL_IMPORTS
+    # nothing else: the standard library is imported at module level
+    assert all(isinstance(node, ast.ImportFrom) and node.level == 1 for func in found for node in imports[func])
+
+
+def _is_dynamic_import(node: ast.AST) -> bool:
+    """Whether a node names ``importlib``, ``import_module`` or ``__import__``."""
+    if isinstance(node, ast.Name):
+        return node.id in {"importlib", "import_module", "__import__"}
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "importlib" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "importlib"
+    return False
+
+
+def test_only_the_package_hook_imports_dynamically():
+    init = MODULES["__init__"]
+    hook = next(node for node in init.body if isinstance(node, ast.FunctionDef) and node.name == "__getattr__")
+    allowed = [
+        *(node for node in init.body if isinstance(node, ast.ImportFrom) and node.module == "importlib"),
+        *(node for node in ast.walk(hook) if isinstance(node, ast.Name) and node.id == "import_module"),
+    ]
+    found = [node for tree in MODULES.values() for node in ast.walk(tree) if _is_dynamic_import(node)]
+    assert allowed and all(node in allowed for node in found)
 
 
 def test_package_import_graph_is_acyclic():
@@ -45,5 +108,6 @@ def test_package_import_graph_is_acyclic():
         }
         for name, tree in MODULES.items()
     }
+    graph["__init__"] |= set(kuwalls._EXPORTS)  # the modules the package's __getattr__ imports
     assert graph["cli"] >= {"__init__", "walls", "checks"}  # the graph sees the package's own imports
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
