@@ -23,14 +23,8 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import __version__
-
-if TYPE_CHECKING:
-    from .catalog import CatalogEntry
-    from .chern import ChernVector
-    from .walls import WallLocus
 
 SCHEMA_VERSION = "1.0"
 USAGE_ERROR = 2
@@ -40,7 +34,7 @@ def _rat(value: Fraction) -> str:
     return str(value)
 
 
-def _vec(x: ChernVector) -> list[str]:
+def _vec(x) -> list[str]:
     return [_rat(c) for c in x.coefficients()]
 
 
@@ -179,7 +173,7 @@ def cmd_walls(args: argparse.Namespace) -> int:
     return 0
 
 
-def _locus_payload(locus: WallLocus) -> dict:
+def _locus_payload(locus) -> dict:
     if locus.kind == "semicircle":
         return {
             "kind": "semicircle",
@@ -239,7 +233,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
     return 0
 
 
-def _entry_payload(entry: CatalogEntry) -> dict:
+def _entry_payload(entry) -> dict:
     payload: dict = {
         "name": entry.name,
         "chern": _vec(entry.chern),

@@ -2,7 +2,9 @@
 
 Deterministic: the sets of loaded modules are compared, never a time.  Each
 case runs one ``cli.main`` call in its own subprocess with ``src`` on the
-path, so nothing the test process imported leaks in.
+path, so nothing the test process imported leaks in.  The subprocess runs
+with ``-S``: a ``.pth`` file in site-packages can import modules (``typing``,
+say) before the program starts, which would hide what the CLI itself loads.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def _python(code: str, *args: str) -> str:
     """Stdout of ``code`` run in a fresh interpreter with ``src`` on the path."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", code, *args], capture_output=True, text=True, env=env, check=True
     ).stdout
 
 
@@ -55,10 +57,11 @@ def _kuwalls_modules(modules: set[str]) -> set[str]:
     return {name for name in modules if name == "kuwalls" or name.startswith("kuwalls.")}
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     after_import, _ = _loaded(None)
     assert "dataclasses" not in after_import
     assert "inspect" not in after_import
+    assert "typing" not in after_import
     assert _kuwalls_modules(after_import) == BASE
 
 

@@ -9,9 +9,12 @@ call from importing more than it uses:
   name with ``importlib.import_module``, the only dynamic import in the
   package (no other module names ``importlib`` or ``__import__``).
 
-Every other function-local import fails the first test.  The acyclicity test
-walks function bodies too, and counts the package's lazy exports as imports
-of ``__init__``.
+Every other function-local import fails the first test.  It checks each
+function node on its own (methods and nested functions included), so two
+functions of one name, such as the ``__init__`` methods of a module's classes,
+are each checked, and only module-level ``cli`` functions are exempt.  The
+acyclicity test walks function bodies too, and counts the package's lazy
+exports as imports of ``__init__``.
 """
 
 from __future__ import annotations
@@ -46,34 +49,55 @@ def _package_modules(node: ast.Import | ast.ImportFrom) -> set[str]:
     return {p[1] if len(p) > 1 and p[1] in MODULES else "__init__" for p in parts}
 
 
-def _local_imports(tree: ast.Module) -> dict[str, list[ast.Import | ast.ImportFrom]]:
-    """The imports inside each function body, by function name."""
-    return {
-        func.name: [inner for inner in ast.walk(func) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+def _local_imports(tree: ast.AST) -> list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, list[ast.AST]]]:
+    """Every function in ``tree`` (methods and nested functions too) with the imports in its body."""
+    return [
+        (func, [inner for inner in ast.walk(func) if isinstance(inner, (ast.Import, ast.ImportFrom))])
         for func in ast.walk(tree)
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _cli_subcommands() -> dict[str, ast.FunctionDef]:
+    """The module-level ``cli`` functions allowed to import, by name."""
+    return {
+        node.name: node
+        for node in MODULES["cli"].body
+        if isinstance(node, ast.FunctionDef) and node.name in CLI_LOCAL_IMPORTS
     }
+
+
+def _imports_outside(modules: dict[str, ast.Module], allowed: set[ast.AST]) -> list[str]:
+    """Each import inside a function of ``modules`` that is not one of the ``allowed`` functions."""
+    return [
+        f"{name}.py:{inner.lineno} in {func.name}"
+        for name, tree in modules.items()
+        for func, imports in _local_imports(tree)
+        if func not in allowed
+        for inner in imports
+    ]
 
 
 def test_no_imports_inside_functions():
-    local = [
-        f"{name}.py:{inner.lineno} in {func}"
-        for name, tree in MODULES.items()
-        for func, imports in _local_imports(tree).items()
-        for inner in imports
-        if not (name == "cli" and func in CLI_LOCAL_IMPORTS)
-    ]
-    assert local == []
+    assert _imports_outside(MODULES, set(_cli_subcommands().values())) == []
+
+
+def test_ban_sees_every_function_of_a_name():
+    # two methods share a name: an import in the first is still found
+    tree = ast.parse(
+        "class A:\n    def __init__(self):\n        import os\n"
+        "class B:\n    def __init__(self):\n        pass\n"
+    )
+    assert _imports_outside({"chern": tree}, set()) == ["chern.py:3 in __init__"]
 
 
 def test_cli_subcommands_import_only_their_own_modules():
-    imports = _local_imports(MODULES["cli"])
-    found = {
-        func: {target for node in imports[func] for target in _package_modules(node)} for func in CLI_LOCAL_IMPORTS
-    }
+    subcommands = _cli_subcommands()
+    imports = {func.name: nodes for func, nodes in _local_imports(MODULES["cli"]) if func in subcommands.values()}
+    found = {name: {target for node in imports[name] for target in _package_modules(node)} for name in subcommands}
     assert found == CLI_LOCAL_IMPORTS
     # nothing else: the standard library is imported at module level
-    assert all(isinstance(node, ast.ImportFrom) and node.level == 1 for func in found for node in imports[func])
+    assert all(isinstance(node, ast.ImportFrom) and node.level == 1 for nodes in imports.values() for node in nodes)
 
 
 def _is_dynamic_import(node: ast.AST) -> bool:
