@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 #: The public names, by the module that defines them.
 _EXPORTS = {
     "chern": ("ChernVector", "FanoContext", "ring_multiply", "twist", "dual", "hrr_chi", "chi_pair"),
-    "tilt": ("StabilityParams", "ChargeValue", "Slope", "charge_tilt", "slope_tilt", "charge_rotated", "discriminant"),
+    "tilt": ("StabilityParams", "ChargeValue", "Slope", "charge_tilt", "slope_tilt", "discriminant"),
     "walls": ("WallLocus", "DestabilizerCandidate", "numerical_wall", "destabilizer_search", "chamber_report"),
     "kulattice": (
         "KuClass", "ExtTable", "euler_form", "class_from_chern", "rotation_matrix",

@@ -8,16 +8,14 @@ from fractions import Fraction
 import pytest
 
 from kuwalls.catalog import point_class, w_vector
-from kuwalls.chern import DEGREES, UNIT, ZERO, ChernVector, FanoContext, line_bundle, twist
+from kuwalls.chern import DEGREES, UNIT, ZERO, ChernVector, FanoContext, twist
 from kuwalls.tilt import (
     INFINITE_SLOPE,
     ChargeValue,
     Slope,
     StabilityParams,
-    charge_rotated,
     charge_tilt,
     discriminant,
-    params,
     slope_tilt,
 )
 
@@ -36,23 +34,23 @@ def test_charge_of_w_on_the_vertical_line(d):
     ctx = FanoContext(d)
     w = w_vector(ctx)
     for alpha_sq in ALPHAS:
-        z = charge_tilt(ctx, params(alpha_sq, Fraction(-1, 2)), w)
+        z = charge_tilt(ctx, StabilityParams(alpha_sq, Fraction(-1, 2)), w)
         assert z == ChargeValue(Fraction(0), Fraction(d))
-        assert slope_tilt(ctx, params(alpha_sq, Fraction(-1, 2)), w) == Slope(Fraction(0))
+        assert slope_tilt(ctx, StabilityParams(alpha_sq, Fraction(-1, 2)), w) == Slope(Fraction(0))
 
 
 def test_charge_of_structure_sheaf_at_the_wall():
     # twisted class (1, 1/2, 1/8): the real part cancels exactly at alpha^2 = 1/4
     for d in DEGREES:
         ctx = FanoContext(d)
-        z = charge_tilt(ctx, params(Fraction(1, 4), Fraction(-1, 2)), UNIT)
+        z = charge_tilt(ctx, StabilityParams(Fraction(1, 4), Fraction(-1, 2)), UNIT)
         assert z.re == 0
-        assert slope_tilt(ctx, params(Fraction(1, 4), Fraction(-1, 2)), UNIT) == Slope(Fraction(0))
+        assert slope_tilt(ctx, StabilityParams(Fraction(1, 4), Fraction(-1, 2)), UNIT) == Slope(Fraction(0))
 
 
 def test_charge_linearity_and_zero():
     ctx = FanoContext(3)
-    p = params(Fraction(7, 5), Fraction(-2, 3))
+    p = StabilityParams(Fraction(7, 5), Fraction(-2, 3))
     assert charge_tilt(ctx, p, ZERO) == ChargeValue(Fraction(0), Fraction(0))
     rng = random.Random(9)
     for _ in range(1000):
@@ -63,47 +61,62 @@ def test_charge_linearity_and_zero():
 
 def test_slope_of_point_class_is_infinite():
     ctx = FanoContext(2)
-    assert slope_tilt(ctx, params(1, 0), point_class(ctx)) == INFINITE_SLOPE
+    assert slope_tilt(ctx, StabilityParams(1, 0), point_class(ctx)) == INFINITE_SLOPE
     assert INFINITE_SLOPE.is_infinite
     assert Slope(Fraction(10**9)) < INFINITE_SLOPE
 
 
-@pytest.mark.parametrize("d", DEGREES)
-def test_rotated_charge_of_w(d):
-    ctx = FanoContext(d)
-    z = charge_rotated(ctx, params(Fraction(1, 100), Fraction(-1, 2)), w_vector(ctx))
-    assert z.re == d and z.re > 0
-    assert z.im == 0
+def reference_charge(ctx, params, x):
+    """The charge by twisting first, then Fraction arithmetic on the twisted class."""
+    d = ctx.degree
+    t = twist(x, params.beta)
+    return ChargeValue(-d * t.c2 + params.alpha_sq / 2 * d * t.r, d * t.c1)
 
 
-def test_rotated_charge_of_shifted_line_bundle():
-    # ch^(-1/2)(O(-1)) = (1, -1/2, 1/8, ...): im(Z0) = d(1/8 - alpha^2/2) > 0 at
-    # small alpha, so the even shift O(-1)[2] sits in the double-tilted heart
-    # and the odd shift has the opposite sign.
-    ctx = FanoContext(2)
-    p = params(Fraction(1, 100), Fraction(-1, 2))
-    even_shift = charge_rotated(ctx, p, line_bundle(-1))
-    assert even_shift.im == 2 * (Fraction(1, 8) - Fraction(1, 200))
-    assert even_shift.im > 0
-    odd_shift = charge_rotated(ctx, p, -line_bundle(-1))
-    assert odd_shift.im == -even_shift.im < 0
+def reference_slope(ctx, params, x):
+    """-Re Z / Im Z of the reference charge, or +infinity when Im Z = 0."""
+    z = reference_charge(ctx, params, x)
+    if z.im == 0:
+        return INFINITE_SLOPE
+    return Slope(-z.re / z.im)
 
 
-def test_rotation_is_division_by_i():
-    rng = random.Random(41)
-    for _ in range(1000):
-        d = rng.choice(DEGREES)
+def reference_cases(rng, count):
+    """Seeded (ctx, params, class) triples covering every branch of the kernel."""
+    for d in DEGREES:
         ctx = FanoContext(d)
-        p = params(Fraction(rng.randint(1, 50), rng.randint(1, 50)), Fraction(rng.randint(-8, 8), rng.randint(1, 5)))
-        x = random_vector(rng)
-        assert charge_rotated(ctx, p, x) == charge_tilt(ctx, p, x).rotated_by_neg_i()
+        at_wall = StabilityParams(Fraction(1, 4), Fraction(-1, 2))
+        yield ctx, at_wall, w_vector(ctx)
+        yield ctx, at_wall, UNIT
+    for i in range(count):
+        ctx = FanoContext(rng.choice(DEGREES))
+        beta = rng.choice(
+            [Fraction(0), Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-30, 30), rng.randint(1, 12))]
+        )
+        params = StabilityParams(Fraction(rng.randint(1, 300), rng.randint(1, 128)), beta)
+        rank = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 1, 2, 3, 6]))
+        # every tenth class has ch1^beta = 0, so its slope is infinite
+        c1 = beta * rank if i % 10 == 0 else Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        c2 = Fraction(rng.randint(-40, 40), rng.randint(1, 60))
+        c3 = Fraction(rng.randint(-9, 9), rng.randint(1, 30))
+        yield ctx, params, ChernVector(rank, c1, c2, c3)
+
+
+def test_charge_and_slope_match_the_fraction_reference():
+    infinite = 0
+    for ctx, params, x in reference_cases(random.Random(20190), 12000):
+        z = charge_tilt(ctx, params, x)
+        assert z == reference_charge(ctx, params, x)
+        assert type(z.re) is type(z.im) is Fraction
+        slope = slope_tilt(ctx, params, x)
+        assert slope == reference_slope(ctx, params, x)
+        infinite += slope.is_infinite
+    assert infinite >= 1000
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         StabilityParams(Fraction(0), Fraction(0))
-    with pytest.raises(ValueError):
-        params(-1, 0)
 
 
 @pytest.mark.parametrize("d", DEGREES)

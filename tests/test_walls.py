@@ -18,7 +18,7 @@ import sympy
 
 from kuwalls.catalog import catalog, point_ideal, v_vector, w_vector
 from kuwalls.chern import DEGREES, ChernVector, FanoContext, line_bundle, twist
-from kuwalls.tilt import discriminant, params, slope_tilt
+from kuwalls.tilt import StabilityParams, discriminant, slope_tilt
 from kuwalls.walls import (
     BASE_LATTICE,
     SEARCH_BUDGET,
@@ -354,7 +354,7 @@ def test_wall_heights_agree_with_tilt_slopes(d, denoms):
     report = chamber_report(ctx, target, BETA0, denoms=denoms)
     assert report.walls
     for crossing in report.walls:
-        at_wall = params(crossing.alpha_sq, BETA0)
+        at_wall = StabilityParams(crossing.alpha_sq, BETA0)
         for cand in crossing.candidates:
             untwisted = twist(ChernVector(cand.x, cand.y, cand.z, 0), -BETA0)
             assert slope_tilt(ctx, at_wall, untwisted) == slope_tilt(ctx, at_wall, target)
