@@ -15,9 +15,7 @@ field tuple:
 * assigning or deleting an attribute raises ``AttributeError``;
 * pickling and ``copy`` rebuild a record through its ``__init__``.
 
-A class that needs an instance ``__dict__`` (for ``functools.cached_property``)
-lists ``"__dict__"`` in its ``__slots__``; it is not a field.  This module
-imports no other kuwalls module, so every layer can use it.
+This module imports no other kuwalls module, so every layer can use it.
 """
 
 from __future__ import annotations
@@ -35,8 +33,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         if "__slots__" not in cls.__dict__:  # a further subclass keeps its parent's fields
             return
-        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
-        cls._fields = fields
+        fields = cls._fields = tuple(cls.__slots__)
         get = attrgetter(*fields)
         # An attrgetter is no descriptor, so instances see it as it is (cheaper than a
         # staticmethod); of one name it returns the bare value, so wrap that in a tuple.

@@ -5,16 +5,17 @@ with -K = 2H and degree d = H^3 in {1..5}.  A cohomology class is stored as
 its coefficients with respect to the basis (1, H, H^2, H^3), so all degrees
 share one code path and every value is an exact ``fractions.Fraction``.
 
-The Euler characteristic is computed by multiplying with the Todd class and
-integrating the top coefficient against H^3 = d.  With H.c2 = 12 (forced by
-chi(O) = 1 and c1 = 2H) this collapses to the closed form
+The Euler characteristic is the integral of ch . td(Y) against H^3 = d, with
+td = 1 + c1/2 + (c1^2 + c2)/12 + c1 c2/24.  The index-2 conditions c1 = 2H and
+chi(O) = 1 force H.c2 = 12, so Riemann-Roch is the closed form
 
-    chi(E) = ch0 + ch1 * (d + 3) / 3 + (ch2 + ch3) * d.
+    chi(E) = ch0 + ch1 * (d + 3) / 3 + (ch2 + ch3) * d,
+
+that is, the weights (3, d + 3, 3d, 3d) / 3; ``chi_pair`` is their one home.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -74,47 +75,15 @@ ZERO = ChernVector(0, 0, 0, 0)
 
 
 class FanoContext(Record):
-    """Degree d = H^3 together with the intersection data driving Riemann-Roch.
+    """The threefold of degree d = H^3; its Riemann-Roch data depend on d alone."""
 
-    ``h_c2`` is H.c2; the value 12 follows from chi(O) = 1 via td3 = c1 c2 / 24
-    and is kept as a field so that any degree-specific correction would have a
-    single home.  ``todd_vector`` is the Todd class in (1, H, H^2, H^3)
-    coefficients.
-    """
-
-    __slots__ = ("degree", "h_c2", "__dict__")  # the dict holds the cached properties
+    __slots__ = ("degree",)
     degree: int
-    h_c2: int
 
-    def __init__(self, degree: int, h_c2: int = 12) -> None:
+    def __init__(self, degree: int) -> None:
         if degree not in DEGREES:
             raise ValueError(f"degree must be one of {DEGREES}, got {degree}")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "h_c2", h_c2)
-
-    @functools.cached_property
-    def todd_vector(self) -> ChernVector:
-        d = self.degree
-        return ChernVector(1, 1, Fraction(4 * d + self.h_c2, 12 * d), Fraction(self.h_c2, 12 * d))
-
-    @functools.cached_property
-    def chi_weights(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """Per-coefficient integration weights: chi(x) = sum of x_k * weight_k.
-
-        weight_k is the integral of H^k against the complementary Todd part;
-        with h_c2 = 12 they are (1, (d+3)/3, d, d).
-        """
-        d = self.degree
-        return (Fraction(self.h_c2, 12), Fraction(4 * d + self.h_c2, 12), Fraction(d), Fraction(d))
-
-    @functools.cached_property
-    def _chi_weight_numerators(self) -> tuple[int, ...]:
-        """``chi_weights`` as integer numerators over their lcm, then the lcm."""
-        return _over_lcm(*self.chi_weights)
-
-    def integrate(self, x: ChernVector) -> Fraction:
-        """Integrate a class over Y: the H^3 coefficient times H^3 = d."""
-        return x.c3 * self.degree
 
 
 def ring_multiply(x: ChernVector, y: ChernVector) -> ChernVector:
@@ -196,60 +165,37 @@ def point_ideal(ctx: FanoContext) -> ChernVector:
     return line_bundle(0) - point_class(ctx)
 
 
-def canonical_class() -> ChernVector:
-    """ch(K) = exp(-2H); the index-2 condition -K = 2H."""
-    return exp_h(-2)
-
-
-def hrr_chi(ctx: FanoContext, x: ChernVector) -> Fraction:
-    """Euler characteristic of any object with character ``x``, by Riemann-Roch.
-
-    Equal to integrating x . td(Y); written with the cached weights so the
-    hot path stays cheap.
-    """
-    w0, w1, w2, w3 = ctx.chi_weights
-    return x.r * w0 + x.c1 * w1 + x.c2 * w2 + x.c3 * w3
-
-
 def chi_pair(ctx: FanoContext, x: ChernVector, y: ChernVector) -> Fraction:
     """Euler pairing chi(E, F) = chi(E^v . F), with the product expanded in place.
 
-    Each argument and the weights are put over their own lcm, so the whole
-    sum is integer arithmetic and one ``Fraction(n, den)``.
+    Each argument is put over its own lcm and the weights (3, d + 3, 3d, 3d)
+    over 3, so the whole sum is integer arithmetic and one ``Fraction(n, den)``.
     """
-    w0, w1, w2, w3, w_den = ctx._chi_weight_numerators
+    d = ctx.degree
     a0, a1, a2, a3, a_den = _over_lcm(*x.coefficients())
     b0, b1, b2, b3, b_den = _over_lcm(*y.coefficients())
     return Fraction(
-        w0 * (a0 * b0)
-        + w1 * (a0 * b1 - a1 * b0)
-        + w2 * (a0 * b2 - a1 * b1 + a2 * b0)
-        + w3 * (a0 * b3 - a1 * b2 + a2 * b1 - a3 * b0),
-        a_den * b_den * w_den,
+        3 * (a0 * b0)
+        + (d + 3) * (a0 * b1 - a1 * b0)
+        + 3 * d * (a0 * b2 - a1 * b1 + a2 * b0 + a0 * b3 - a1 * b2 + a2 * b1 - a3 * b0),
+        3 * a_den * b_den,
     )
 
 
-def lattice_denominators(ctx: FanoContext) -> tuple[int, int, int]:
-    """Denominators (for ch1, ch2, ch3) that every class passing the default test has."""
-    d = ctx.degree
-    return (1, math.lcm(2, d), math.lcm(6, d))
+def hrr_chi(ctx: FanoContext, x: ChernVector) -> Fraction:
+    """Euler characteristic of any object with character ``x``: chi(O, x), by Riemann-Roch."""
+    return chi_pair(ctx, UNIT, x)
 
 
-def on_integral_lattice(ctx: FanoContext, x: ChernVector, denominators: tuple[int, int, int] | None = None) -> bool:
+def on_integral_lattice(ctx: FanoContext, x: ChernVector) -> bool:
     """Whether ``x`` lies on the integral lattice of Chern characters of objects.
 
-    By default: ch0 and ch1 are integers, ch2 - ch1^2/2 lies in (1/d)Z and
-    chi(O(k), E) is an integer for k = 0..3, which also pins ch3.  Explicit
-    ``denominators`` (for ch1, ch2, ch3) instead require only ch0 to be an
-    integer and each ch_i times its denominator to be one.
+    That is: ch0 and ch1 are integers, ch2 - ch1^2/2 lies in (1/d)Z and
+    chi(O(k), E) is an integer for k = 0..3, which also pins ch3.
     """
-    if x.r.denominator != 1:
-        return False
-    if denominators is None:
-        return (
-            x.c1.denominator == 1
-            and ((x.c2 - x.c1 * x.c1 / 2) * ctx.degree).denominator == 1
-            and all(chi_pair(ctx, line_bundle(k), x).denominator == 1 for k in range(4))
-        )
-    d1, d2, d3 = denominators
-    return (x.c1 * d1).denominator == 1 and (x.c2 * d2).denominator == 1 and (x.c3 * d3).denominator == 1
+    return (
+        x.r.denominator == 1
+        and x.c1.denominator == 1
+        and ((x.c2 - x.c1 * x.c1 / 2) * ctx.degree).denominator == 1
+        and all(chi_pair(ctx, line_bundle(k), x).denominator == 1 for k in range(4))
+    )

@@ -29,6 +29,15 @@ from . import __version__
 SCHEMA_VERSION = "1.0"
 USAGE_ERROR = 2
 
+#: The number grammar of --beta, --class and --denoms (after an optional sign):
+#: digits, then optionally /digits or .digits, or .digits alone.  ASCII digits
+#: only, no exponent.
+_UNSIGNED = r"(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)"
+_NUMBER = rf"[+-]?{_UNSIGNED}"  # compiled on first use (re caches it), not on import
+#: More digits than this are refused before any int or Fraction is built.
+MAX_DIGITS = 100
+_NUMBER_HELP = f"a rational like -1/2 or 0.5 with at most {MAX_DIGITS} digits"
+
 
 def _rat(value: Fraction) -> str:
     return str(value)
@@ -65,6 +74,21 @@ def _require_degree(degree: int, degrees: tuple[int, ...]) -> None:
         raise SystemExit(USAGE_ERROR)
 
 
+def _parse_number(text: str) -> Fraction | None:
+    """The rational that ``text`` writes in the number grammar, or None.
+
+    The grammar and the digit cap are checked on the text first, so an
+    oversized number costs no big-integer arithmetic.
+    """
+    text = text.strip()
+    if re.fullmatch(_NUMBER, text) is None or sum(c.isdigit() for c in text) > MAX_DIGITS:
+        return None
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        return None
+
+
 def _parse_raw_class(text: str) -> list[Fraction] | None:
     """The four rationals of 'r,c1,c2,c3', or None for a catalog name ('w', 'I_p', ...)."""
     if "," not in text:
@@ -73,19 +97,19 @@ def _parse_raw_class(text: str) -> list[Fraction] | None:
     if len(parts) != 4:
         print(f"cannot parse class {text!r}: expected four comma-separated rationals", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    try:
-        return [Fraction(part.strip()) for part in parts]
-    except (ValueError, ZeroDivisionError):
-        print(f"cannot parse class {text!r}: bad rational", file=sys.stderr)
+    values = [_parse_number(part) for part in parts]
+    if None in values:
+        print(f"cannot parse class {text!r}: each part must be {_NUMBER_HELP}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+    return values
 
 
-def _parse_rational(value: str, flag: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        print(f"{flag} must be a rational like -1/2, got {value!r}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+def _parse_denoms(text: str) -> tuple[int, int] | None:
+    """The two positive integers of 'dy,dz', or None."""
+    values = [_parse_number(part) for part in text.split(",")]
+    if len(values) != 2 or not all(value is not None and value.denominator == 1 and value > 0 for value in values):
+        return None
+    return (int(values[0]), int(values[1]))
 
 
 def cmd_euler(args: argparse.Namespace) -> int:
@@ -124,14 +148,18 @@ def cmd_walls(args: argparse.Namespace) -> int:
             print(f"cannot parse class {args.klass!r}: not a catalog entry", file=sys.stderr)
             return USAGE_ERROR
         name, target = entry.name, entry.chern
-    beta0 = _parse_rational(args.beta, "--beta")
-    denoms = BASE_LATTICE
-    if args.denoms is not None:
-        parts = args.denoms.split(",")
-        if len(parts) != 2 or not all(part.strip().isdecimal() and int(part) > 0 for part in parts):
-            print(f"--denoms must be two positive integers like 2,8, got {args.denoms!r}", file=sys.stderr)
-            return USAGE_ERROR
-        denoms = (int(parts[0]), int(parts[1]))
+    beta0 = _parse_number(args.beta)
+    if beta0 is None:
+        print(f"--beta must be {_NUMBER_HELP}, got {args.beta!r}", file=sys.stderr)
+        return USAGE_ERROR
+    denoms = BASE_LATTICE if args.denoms is None else _parse_denoms(args.denoms)
+    if denoms is None:
+        print(
+            f"--denoms must be two positive integers like 2,8 with at most {MAX_DIGITS} digits each, "
+            f"got {args.denoms!r}",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
     if args.x_bound < 0:
         print(f"--x-bound must be a non-negative integer, got {args.x_bound}", file=sys.stderr)
         return USAGE_ERROR
@@ -174,13 +202,12 @@ def cmd_walls(args: argparse.Namespace) -> int:
 
 
 def _locus_payload(locus) -> dict:
-    if locus.kind == "semicircle":
-        return {
-            "kind": "semicircle",
-            "center_beta": _rat(locus.center_beta),
-            "radius_sq": _rat(locus.radius_sq),
-        }
-    return {"kind": "vertical", "beta0": _rat(locus.beta0)}
+    # the search builds every wall as a semicircle (it asserts A != 0)
+    return {
+        "kind": "semicircle",
+        "center_beta": _rat(locus.center_beta),
+        "radius_sq": _rat(locus.radius_sq),
+    }
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
@@ -296,12 +323,14 @@ def cmd_check(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that takes negative rationals like -1/2 as option values, not options.
 
-    So it does a raw class whose first part is negative, like -2,1/2,3,-3.
+    Any argument that starts with a negative number of the number grammar is
+    a value: so is a raw class like -2,1/2,3,-3, and so is a malformed or
+    oversized number like -1e5, which its value parser then refuses in one line.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)(,.*)?$")
+        self._negative_number_matcher = re.compile(f"-{_UNSIGNED}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -44,14 +44,10 @@ def _extent(report: ChamberReport) -> _Frame:
     betas = [beta0 - 1.0, beta0 + 1.0]
     alphas = [1.0]
     for crossing in report.walls:
-        locus = crossing.locus
-        if locus.kind == "semicircle":
-            center = float(locus.center_beta)
-            radius = math.sqrt(float(locus.radius_sq))
-            betas.extend([center - radius, center + radius])
-            alphas.append(radius)
-        else:
-            betas.append(float(locus.beta0))
+        center = float(crossing.locus.center_beta)
+        radius = math.sqrt(float(crossing.locus.radius_sq))
+        betas.extend([center - radius, center + radius])
+        alphas.append(radius)
     pad = 0.35
     return _Frame(min(betas) - pad, max(betas) + pad, max(alphas) * 1.35)
 
@@ -111,27 +107,19 @@ def render_svg(report: ChamberReport) -> str:
     # walls
     crossing_alphas: list[float] = []
     for crossing in report.walls:
-        locus = crossing.locus
-        if locus.kind == "semicircle":
-            center = float(locus.center_beta)
-            radius = math.sqrt(float(locus.radius_sq))
-            x_left, x_right = frame.x(center - radius), frame.x(center + radius)
-            r_x, r_y = radius * frame.sx, radius * frame.sy
-            parts.append(
-                f'<path d="M {_fmt(x_left)} {_fmt(y_axis)} A {_fmt(r_x)} {_fmt(r_y)} 0 0 1 '
-                f'{_fmt(x_right)} {_fmt(y_axis)}" fill="none" stroke="#c0392b" stroke-width="1.5"/>'
-            )
-            apex_y = frame.y(radius)
-            parts.append(
-                f'<text x="{_fmt(frame.x(center))}" y="{_fmt(apex_y - 6)}" font-family="monospace" '
-                f'font-size="11" text-anchor="middle" fill="#c0392b">alpha^2 = {crossing.alpha_sq}</text>'
-            )
-        else:
-            x_wall = frame.x(float(locus.beta0))
-            parts.append(
-                f'<line x1="{_fmt(x_wall)}" y1="{_fmt(frame.y(0.0))}" x2="{_fmt(x_wall)}" '
-                f'y2="{_fmt(frame.y(frame.alpha_max))}" stroke="#c0392b" stroke-width="1.5"/>'
-            )
+        center = float(crossing.locus.center_beta)
+        radius = math.sqrt(float(crossing.locus.radius_sq))
+        x_left, x_right = frame.x(center - radius), frame.x(center + radius)
+        r_x, r_y = radius * frame.sx, radius * frame.sy
+        parts.append(
+            f'<path d="M {_fmt(x_left)} {_fmt(y_axis)} A {_fmt(r_x)} {_fmt(r_y)} 0 0 1 '
+            f'{_fmt(x_right)} {_fmt(y_axis)}" fill="none" stroke="#c0392b" stroke-width="1.5"/>'
+        )
+        apex_y = frame.y(radius)
+        parts.append(
+            f'<text x="{_fmt(frame.x(center))}" y="{_fmt(apex_y - 6)}" font-family="monospace" '
+            f'font-size="11" text-anchor="middle" fill="#c0392b">alpha^2 = {crossing.alpha_sq}</text>'
+        )
         crossing_alphas.append(math.sqrt(float(crossing.alpha_sq)))
 
     # one label per chamber along the scanned line

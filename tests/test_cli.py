@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -119,6 +120,42 @@ def test_walls_over_budget_lattice_is_refused(capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--class", "w", "--beta", "1e5000"],
+        ["--class", "w", "--beta", "-1e5000"],
+        ["--class", "w", "--beta", "1e10000000"],
+        ["--class", "1,0,0,1e5000"],
+        ["--class", "w", "--denoms", "2," + "1" * 5000],
+        ["--class", "w", "--beta", "-1/" + "3" * 5000],
+        ["--class", "w", "--beta", "1/0"],
+    ],
+    ids=["exponent-beta", "negative-exponent-beta", "huge-exponent-beta", "exponent-class", "long-denoms",
+         "long-beta", "zero-denominator-beta"],
+)
+def test_malformed_or_oversized_numbers_are_usage_errors(capsys, flags):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["walls", "--degree", "2", *flags])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_number_grammar_forms_and_digit_cap(capsys):
+    base = ["walls", "--degree", "2", "--class", "w"]
+    reference = run(capsys, [*base, "--beta", "-1/2"])
+    assert reference[0] == 0
+    for beta in ["-0.5", "-.5", " -1/2", "-2/4", "-5/10"]:
+        assert run(capsys, [*base, "--beta", beta]) == reference, beta
+    assert run(capsys, [*base, "--beta", "+1/2"]) == run(capsys, [*base, "--beta", "1/2"])
+    # the cap counts digits, so 100 of them pass and 101 do not
+    assert run(capsys, [*base, "--denoms", "2," + "0" * 99 + "8"]) == reference
+    code, out, err = run(capsys, [*base, "--denoms", "2," + "0" * 100 + "8"])
+    assert code == 2 and out == "" and "at most 100 digits" in err
 
 
 def test_roots_counts(capsys):

@@ -9,7 +9,6 @@ copying.  The repr strings below are those the dataclass versions printed.
 from __future__ import annotations
 
 import copy
-import functools
 import pickle
 from fractions import Fraction as F
 
@@ -18,7 +17,7 @@ import pytest
 from kuwalls._record import Record
 from kuwalls.catalog import CatalogEntry, CatalogVerdict, EntryVerdict
 from kuwalls.checks import CheckResult
-from kuwalls.chern import ChernVector, FanoContext, hrr_chi, line_bundle
+from kuwalls.chern import ChernVector, FanoContext
 from kuwalls.delpezzo import DPContext, PicVector
 from kuwalls.kulattice import ExtTable, ExtTableVerdict, KuClass, KuCoordinates
 from kuwalls.tilt import INFINITE_SLOPE, ChargeValue, Slope, StabilityParams
@@ -49,7 +48,7 @@ RECORDS = [
         lambda: ChernVector(0, 1, F(-1, 2), F(-1, 3)),
         "ChernVector(r=Fraction(0, 1), c1=Fraction(1, 1), c2=Fraction(-1, 2), c3=Fraction(-1, 3))",
     ),
-    (FanoContext, lambda: FanoContext(2), "FanoContext(degree=2, h_c2=12)"),
+    (FanoContext, lambda: FanoContext(2), "FanoContext(degree=2)"),
     (
         StabilityParams,
         lambda: StabilityParams(F(1, 4), F(-1, 2)),
@@ -133,6 +132,8 @@ def test_fields_cannot_be_assigned_or_deleted(cls, make, expected_repr):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert _field_values(record) == before
+    # every slot is a field, and there is no instance dict to hold anything else
+    assert cls._fields == cls.__slots__ and not hasattr(record, "__dict__")
 
 
 @pytest.mark.parametrize(("cls", "make", "expected_repr"), RECORDS, ids=IDS)
@@ -154,7 +155,6 @@ def test_records_of_different_classes_with_equal_fields_differ():
 
 
 def test_defaults_hold():
-    assert FanoContext(3).h_c2 == 12 and FanoContext(3) == FanoContext(3, 12)
     vertical = WallLocus("vertical")
     assert (vertical.center_beta, vertical.radius_sq, vertical.beta0) == (None, None, None)
     report = ChamberReport(2, ChernVector(1, 0, 0, 0), F(-1, 2), (2, 8), 5, False)
@@ -177,15 +177,3 @@ def test_slope_still_orders():
     assert INFINITE_SLOPE == Slope(None) and INFINITE_SLOPE.is_infinite
     assert sorted([INFINITE_SLOPE, high, low]) == [low, high, INFINITE_SLOPE]
 
-
-def test_fano_context_cached_properties_still_work():
-    ctx = FanoContext(2)
-    assert isinstance(type(ctx).__dict__["todd_vector"], functools.cached_property)
-    todd = ctx.todd_vector
-    assert todd == ChernVector(1, 1, F(20, 24), F(12, 24)) and ctx.todd_vector is todd
-    assert ctx.chi_weights == (F(1), F(20, 12), F(2), F(2)) and ctx.chi_weights is ctx.chi_weights
-    assert hrr_chi(ctx, line_bundle(1)) == 4  # chi(O(1)) = d + 2
-    # cached values are not fields: equality, hash and repr ignore them
-    assert ctx == FanoContext(2) and hash(ctx) == hash(FanoContext(2)) and repr(ctx) == "FanoContext(degree=2, h_c2=12)"
-    with pytest.raises(AttributeError):
-        ctx.degree = 3
