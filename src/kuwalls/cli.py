@@ -29,9 +29,9 @@ from . import __version__
 SCHEMA_VERSION = "1.0"
 USAGE_ERROR = 2
 
-#: The number grammar of --beta, --class and --denoms (after an optional sign):
-#: digits, then optionally /digits or .digits, or .digits alone.  ASCII digits
-#: only, no exponent.
+#: The number grammar of every numeric option (after an optional sign): digits,
+#: then optionally /digits or .digits, or .digits alone.  ASCII digits only, no
+#: exponent.  --degree, --dp, --x-bound and --denoms must also name an integer.
 _UNSIGNED = r"(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)"
 _NUMBER = rf"[+-]?{_UNSIGNED}"  # compiled on first use (re caches it), not on import
 #: More digits than this are refused before any int or Fraction is built.
@@ -60,17 +60,14 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _parse_degree(value: str) -> int:
-    try:
-        degree = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"degree must be an integer, got {value!r}")
-    return degree
+def _shown(text: str) -> str:
+    """``text`` quoted for a one-line error message, cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _require_degree(degree: int, degrees: tuple[int, ...]) -> None:
     if degree not in degrees:
-        print(f"degree out of range: {degree} (expected 1..5)", file=sys.stderr)
+        print(f"degree out of range: {degree} (expected {degrees[0]}..{degrees[-1]})", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
@@ -89,17 +86,26 @@ def _parse_number(text: str) -> Fraction | None:
         return None
 
 
+def _parse_integer(text: str, option: str) -> int:
+    """The integer that ``text`` writes in the number grammar; a one-line usage error otherwise."""
+    value = _parse_number(text)
+    if value is None or value.denominator != 1:
+        print(f"{option} must be an integer with at most {MAX_DIGITS} digits, got {_shown(text)}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+    return int(value)
+
+
 def _parse_raw_class(text: str) -> list[Fraction] | None:
     """The four rationals of 'r,c1,c2,c3', or None for a catalog name ('w', 'I_p', ...)."""
     if "," not in text:
         return None
     parts = text.split(",")
     if len(parts) != 4:
-        print(f"cannot parse class {text!r}: expected four comma-separated rationals", file=sys.stderr)
+        print(f"cannot parse class {_shown(text)}: expected four comma-separated rationals", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
     values = [_parse_number(part) for part in parts]
     if None in values:
-        print(f"cannot parse class {text!r}: each part must be {_NUMBER_HELP}", file=sys.stderr)
+        print(f"cannot parse class {_shown(text)}: each part must be {_NUMBER_HELP}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
     return values
 
@@ -116,8 +122,8 @@ def cmd_euler(args: argparse.Namespace) -> int:
     from .chern import DEGREES, FanoContext
     from .kulattice import euler_matrix, euler_matrix_from_chern
 
-    _require_degree(args.degree, DEGREES)
-    d = args.degree
+    d = _parse_integer(args.degree, "--degree")
+    _require_degree(d, DEGREES)
     from_lattice = euler_matrix(d)
     from_riemann_roch = euler_matrix_from_chern(FanoContext(d))
     payload = {
@@ -136,36 +142,38 @@ def cmd_walls(args: argparse.Namespace) -> int:
     from .diagram import write_svg
     from .walls import BASE_LATTICE, chamber_report
 
-    _require_degree(args.degree, DEGREES)
-    ctx = FanoContext(args.degree)
+    degree = _parse_integer(args.degree, "--degree")
+    _require_degree(degree, DEGREES)
+    ctx = FanoContext(degree)
     coefficients = _parse_raw_class(args.klass)
     if coefficients is not None:
         name, target = args.klass, ChernVector(*coefficients)
     else:
         try:
-            entry = lookup(args.degree, args.klass)
+            entry = lookup(degree, args.klass)
         except KeyError:
-            print(f"cannot parse class {args.klass!r}: not a catalog entry", file=sys.stderr)
+            print(f"cannot parse class {_shown(args.klass)}: not a catalog entry", file=sys.stderr)
             return USAGE_ERROR
         name, target = entry.name, entry.chern
     beta0 = _parse_number(args.beta)
     if beta0 is None:
-        print(f"--beta must be {_NUMBER_HELP}, got {args.beta!r}", file=sys.stderr)
+        print(f"--beta must be {_NUMBER_HELP}, got {_shown(args.beta)}", file=sys.stderr)
         return USAGE_ERROR
     denoms = BASE_LATTICE if args.denoms is None else _parse_denoms(args.denoms)
     if denoms is None:
         print(
             f"--denoms must be two positive integers like 2,8 with at most {MAX_DIGITS} digits each, "
-            f"got {args.denoms!r}",
+            f"got {_shown(args.denoms)}",
             file=sys.stderr,
         )
         return USAGE_ERROR
-    if args.x_bound < 0:
-        print(f"--x-bound must be a non-negative integer, got {args.x_bound}", file=sys.stderr)
+    x_bound = _parse_integer(args.x_bound, "--x-bound")
+    if x_bound < 0:
+        print(f"--x-bound must be a non-negative integer, got {x_bound}", file=sys.stderr)
         return USAGE_ERROR
 
     try:
-        report = chamber_report(ctx, target, beta0, denoms=denoms, x_bound=args.x_bound)
+        report = chamber_report(ctx, target, beta0, denoms=denoms, x_bound=x_bound)
     except ValueError as exc:  # the search refuses lattices over its budget
         print(exc, file=sys.stderr)
         return USAGE_ERROR
@@ -197,7 +205,7 @@ def cmd_walls(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot write --svg {args.svg!r}: {exc.strerror}", file=sys.stderr)
             return USAGE_ERROR
-    _emit(_document("walls", args.degree, payload))
+    _emit(_document("walls", degree, payload))
     return 0
 
 
@@ -220,17 +228,16 @@ def cmd_roots(args: argparse.Namespace) -> int:
         root_as_line_difference,
     )
 
-    if not 1 <= args.dp <= 7:
-        print(f"degree out of range: {args.dp} (expected 1..7)", file=sys.stderr)
-        return USAGE_ERROR
-    if args.dp != 2 and (args.nef_check or args.pairs or args.as_line_diff):
+    dp = _parse_integer(args.dp, "--dp")
+    _require_degree(dp, tuple(range(1, 8)))
+    if dp != 2 and (args.nef_check or args.pairs or args.as_line_diff):
         print("--pairs/--as-line-diff/--nef-check are only certified for --dp 2", file=sys.stderr)
         return USAGE_ERROR
-    ctx = DPContext(args.dp)
+    ctx = DPContext(dp)
     roots = enumerate_roots(ctx)
     lines = enumerate_lines(ctx)
     payload: dict = {
-        "dp_degree": args.dp,
+        "dp_degree": dp,
         "root_count": len(roots),
         "line_count": len(lines),
     }
@@ -256,7 +263,7 @@ def cmd_roots(args: argparse.Namespace) -> int:
         interior = nef_interior_count(ctx, roots)
         payload["nef_check"] = f"{interior}/{len(roots)} of D-2K interior"
         payload["nef_interior_count"] = interior
-    _emit(_document("roots", args.dp, payload))
+    _emit(_document("roots", dp, payload))
     return 0
 
 
@@ -278,13 +285,14 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     from .catalog import catalog, verify_catalog
     from .chern import DEGREES
 
-    _require_degree(args.degree, DEGREES)
-    verdict = verify_catalog(args.degree)
+    degree = _parse_integer(args.degree, "--degree")
+    _require_degree(degree, DEGREES)
+    verdict = verify_catalog(degree)
     payload = {
-        "entries": [_entry_payload(entry) for entry in catalog(args.degree)],
+        "entries": [_entry_payload(entry) for entry in catalog(degree)],
         "verified": verdict.passed,
     }
-    _emit(_document("catalog", args.degree, payload))
+    _emit(_document("catalog", degree, payload))
     return 0
 
 
@@ -292,16 +300,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .checks import run_all_checks, run_checks
     from .chern import DEGREES
 
+    degree = None if args.degree is None else _parse_integer(args.degree, "--degree")
     if args.all:
         results = run_all_checks()
         degree = 0
     else:
-        if args.degree is None:
+        if degree is None:
             print("check requires --degree N or --all", file=sys.stderr)
             return USAGE_ERROR
-        _require_degree(args.degree, DEGREES)
-        results = run_checks(args.degree)
-        degree = args.degree
+        _require_degree(degree, DEGREES)
+        results = run_checks(degree)
     payload = {
         "checks": [
             {
@@ -342,20 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_euler = sub.add_parser("euler", help="Euler pairing matrix on the rank-2 lattice")
-    p_euler.add_argument("--degree", type=_parse_degree, required=True)
+    p_euler.add_argument("--degree", required=True)
     p_euler.set_defaults(func=cmd_euler)
 
     p_walls = sub.add_parser("walls", help="walls and destabilizers along a vertical line")
-    p_walls.add_argument("--degree", type=_parse_degree, required=True)
+    p_walls.add_argument("--degree", required=True)
     p_walls.add_argument("--class", dest="klass", required=True, help="catalog name or 'r,c1,c2,c3'")
     p_walls.add_argument("--beta", default="-1/2", help="rational beta of the scanned line")
     p_walls.add_argument("--denoms", default=None, help="lattice denominators 'dy,dz' (default 2,8)")
-    p_walls.add_argument("--x-bound", type=int, default=5)
+    p_walls.add_argument("--x-bound", default="5")
     p_walls.add_argument("--svg", default=None, help="write an SVG diagram to this path")
     p_walls.set_defaults(func=cmd_walls)
 
     p_roots = sub.add_parser("roots", help="del Pezzo root and line enumeration")
-    p_roots.add_argument("--dp", type=_parse_degree, required=True, help="del Pezzo degree K^2")
+    p_roots.add_argument("--dp", required=True, help="del Pezzo degree K^2")
     p_roots.add_argument("--list", action="store_true", help="include the full vectors")
     p_roots.add_argument("--pairs", action="store_true", help="include the line involution pairs")
     p_roots.add_argument("--as-line-diff", action="store_true", help="decompose each root as a line difference")
@@ -363,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.set_defaults(func=cmd_roots)
 
     p_catalog = sub.add_parser("catalog", help="named classes for one degree")
-    p_catalog.add_argument("--degree", type=_parse_degree, required=True)
+    p_catalog.add_argument("--degree", required=True)
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_check = sub.add_parser("check", help="run the consistency suite")
-    p_check.add_argument("--degree", type=_parse_degree, default=None)
+    p_check.add_argument("--degree", default=None)
     p_check.add_argument("--all", action="store_true")
     p_check.set_defaults(func=cmd_check)
 

@@ -14,10 +14,19 @@ for lines) and each |c_i| is at most |a| + 1.
 Both equations and that box are invariant under permuting e1..e(9-d), so
 for each a the scan fills only non-increasing coordinate tuples, one per
 permutation orbit, and expands each orbit into its distinct orderings.
-Besides the symmetry it prunes only on the obviously-sound budget bounds
-(sum and sum of squares still needed), and the box stays symmetric, so
-re-running it on an enlarged box is still a genuine saturation check of
-the certified bounds.
+Filling the entries left to right, with n entries still open that must sum
+to s and whose squares must sum to q, the scan cuts a branch by two bounds:
+
+* Cauchy-Schwarz on the open entries, s^2 <= n q: a branch with
+  s^2 > n q has no real completion, let alone an integer one.
+* The mean: the entries are non-increasing, so the next one is the
+  largest of the n open ones and hence at least their mean s / n; the
+  scan starts it at ceil(s / n) instead of at the bottom of the box.
+
+Both only drop branches that have no completion inside any box, and the
+box itself stays symmetric, so re-running the scan on an enlarged box
+(``extra_box``) is still a genuine saturation check of the certified
+bounds.
 """
 
 from __future__ import annotations
@@ -110,11 +119,24 @@ def _fill(
     """Append every non-increasing completion of ``prefix`` with entries <= ``upper``.
 
     ``upper`` is the previous entry, or ``cmax`` for the first one, so the
-    entries also stay in the symmetric box [-cmax, cmax].
+    entries also stay in the symmetric box [-cmax, cmax].  The ``remaining``
+    open entries c_1 >= c_2 >= ... must have sum ``sum_needed`` (s) and sum of
+    squares ``sq_needed`` (q).  Two bounds cut a branch before its loop:
+
+    * Cauchy-Schwarz, (sum c_i)^2 <= remaining * sum c_i^2: when
+      s^2 > remaining * q no real completion exists.
+    * The mean: c_1 is the largest open entry, so c_1 >= s / remaining and
+      the loop stops at ceil(s / remaining).
+
+    Neither depends on ``cmax``, and each drops only branches without a
+    completion, so the output is that of the plain box scan for every box
+    and a scan on an enlarged box is still a real saturation check.
     """
     if remaining == 0:
         if sum_needed == 0 and sq_needed == 0:
             out.append(tuple(prefix))
+        return
+    if sum_needed * sum_needed > remaining * sq_needed:
         return
     root = isqrt(sq_needed)
     hi = min(upper, root)
@@ -122,6 +144,7 @@ def _fill(
     # every remaining entry lies in [lo, hi], so the remaining sum does too
     if not remaining * lo <= sum_needed <= remaining * hi:
         return
+    lo = max(lo, -(-sum_needed // remaining))
     for c in range(hi, lo - 1, -1):
         prefix.append(c)
         _fill(remaining - 1, sum_needed - c, sq_needed - c * c, c, cmax, prefix, out)
@@ -183,9 +206,9 @@ def _scan(ctx: DPContext, k_pairing: int, self_int: int, extra_box: int) -> list
     Fills one non-increasing tuple per permutation orbit of e1..e(9-d)
     (``_orbits``) and expands each into its distinct orderings.  The a-range
     and the box |c_i| <= |a| + 1 + ``extra_box`` are those of a scan over
-    every ordered vector; the box is symmetric and the symmetry is the only
-    pruning added, so an ``extra_box`` > 0 re-scan is still a genuine
-    saturation check of the certified bounds.
+    every ordered vector; the box is symmetric and ``_fill`` prunes only
+    branches without a completion, so an ``extra_box`` > 0 re-scan is still a
+    genuine saturation check of the certified bounds.
     """
     expanded = sorted(
         (a, c) for a, orbit in _orbits(ctx, k_pairing, self_int, extra_box) for c in _distinct_permutations(orbit)

@@ -145,6 +145,34 @@ def test_malformed_or_oversized_numbers_are_usage_errors(capsys, flags):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walls", "--degree", "2", "--class", "w", "--x-bound", "1" + "0" * 5000],
+        ["walls", "--degree", "2", "--class", "w", "--x-bound", "1.5"],
+        ["walls", "--degree", "1" + "0" * 5000, "--class", "w"],
+        ["roots", "--dp", "1" + "0" * 5000],
+        ["euler", "--degree", "2e0"],
+        ["check", "--all", "--degree", "two"],
+    ],
+    ids=["long-x-bound", "fractional-x-bound", "long-degree", "long-dp", "exponent-degree", "word-degree"],
+)
+def test_malformed_or_oversized_integers_are_usage_errors(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "must be an integer" in err and len(err) < 200  # the value is quoted cut short
+
+
+def test_integer_options_share_the_number_grammar(capsys):
+    assert run(capsys, ["roots", "--dp", "+2"]) == run(capsys, ["roots", "--dp", "2"])
+    base = ["walls", "--degree", "2", "--class", "w"]
+    assert run(capsys, [*base, "--x-bound", "10/2"]) == run(capsys, base)
+
+
 def test_number_grammar_forms_and_digit_cap(capsys):
     base = ["walls", "--degree", "2", "--class", "w"]
     reference = run(capsys, [*base, "--beta", "-1/2"])

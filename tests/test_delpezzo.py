@@ -6,23 +6,29 @@ alpha_ijk = e0 - e_i - e_j - e_k, all with both signs; the other degrees are
 pinned from the scan itself plus the saturation re-scan.  The orbit scan is
 compared, order included, with a reference scan over every ordered
 coordinate vector, and the orbit sizes (multinomials) give a second count
-that does not use the permutation expansion.
+that does not use the permutation expansion.  The pruned ``_fill`` is fuzzed
+against a brute-force filter, and its node count is pinned, so a lost prune
+fails without any timing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import factorial, isqrt, prod
 
 import pytest
 
+import kuwalls.delpezzo as delpezzo
 from kuwalls.delpezzo import (
     DPContext,
     NefPosition,
     PicVector,
     _distinct_permutations,
+    _fill,
     _orbits,
     enumerate_lines,
     enumerate_roots,
@@ -118,6 +124,10 @@ def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         intersect(ctx, DPContext(3).hyperplane, ctx.hyperplane)
     with pytest.raises(ValueError):
+        nef_position(ctx, DPContext(3).hyperplane)
+    with pytest.raises(ValueError):
+        root_as_line_difference(ctx, DPContext(3).exceptional(1) - DPContext(3).exceptional(2))
+    with pytest.raises(ValueError):
         DPContext(8)
 
 
@@ -153,12 +163,59 @@ def test_enumeration_box_saturation(d):
     assert enumerate_lines(ctx, extra_box=2) == enumerate_lines(ctx)
 
 
-@pytest.mark.parametrize("extra_box", [0, 1])
+@pytest.mark.parametrize("extra_box", [0, 1, 2])
 @pytest.mark.parametrize("d", range(1, 8))
 def test_orbit_scan_matches_the_ordered_reference(d, extra_box):
     ctx = DPContext(d)
     assert enumerate_roots(ctx, extra_box=extra_box) == reference_scan(ctx, 0, -2, extra_box)
     assert enumerate_lines(ctx, extra_box=extra_box) == reference_scan(ctx, -1, -1, extra_box)
+
+
+@functools.cache
+def brute_force_fills(remaining: int, upper: int, cmax: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """Every non-increasing tuple in [-cmax, upper]^remaining, grouped by (sum, sum of squares)."""
+    by_budget: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for c in itertools.product(range(-cmax, upper + 1), repeat=remaining):
+        if all(x >= y for x, y in zip(c, c[1:])):
+            by_budget.setdefault((sum(c), sum(x * x for x in c)), []).append(c)
+    return by_budget
+
+
+def test_pruned_fill_matches_brute_force():
+    rng = random.Random(20261018)
+    hits = 0
+    for _ in range(600):
+        remaining = rng.randint(1, 5)
+        cmax = rng.randint(0, 3)
+        upper = rng.randint(-cmax, cmax)
+        if rng.random() < 0.5:  # budgets of a tuple in the box, so the fill is not empty
+            c = sorted((rng.randint(-cmax, upper) for _ in range(remaining)), reverse=True)
+            sum_needed, sq_needed = sum(c), sum(x * x for x in c)
+        else:
+            sum_needed, sq_needed = rng.randint(-20, 20), rng.randint(0, 20)
+        out: list[tuple[int, ...]] = []
+        _fill(remaining, sum_needed, sq_needed, upper, cmax, [], out)
+        expected = brute_force_fills(remaining, upper, cmax).get((sum_needed, sq_needed), [])
+        # the fill runs each entry downward, so it yields reverse lexicographic order
+        assert out == sorted(expected, reverse=True), (remaining, sum_needed, sq_needed, upper, cmax)
+        hits += bool(out)
+    assert hits > 200
+
+
+def test_degree_one_fill_node_count(monkeypatch):
+    """The two prunes keep the dp = 1 roots plus lines under 300 ``_fill`` calls (8950 without them)."""
+    calls = 0
+    fill = delpezzo._fill
+
+    def counting_fill(*args):
+        nonlocal calls
+        calls += 1
+        return fill(*args)
+
+    monkeypatch.setattr(delpezzo, "_fill", counting_fill)
+    ctx = DPContext(1)
+    assert (len(enumerate_roots(ctx)), len(enumerate_lines(ctx))) == COUNTS[1]
+    assert calls < 300
 
 
 @pytest.mark.parametrize("orbit", [(1, 1, 0, 0, -1), (2, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0), (3, 2, 1, 0), (5,)])
