@@ -16,6 +16,7 @@ Euler-characteristic level: chi(O, E) = chi(O(1), E) = 0.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from ._record import Record
@@ -250,14 +251,21 @@ def verify_catalog(d: int) -> CatalogVerdict:
     return CatalogVerdict(degree=d, entries=tuple(verdicts))
 
 
+@functools.lru_cache(maxsize=None)
+def _by_name(d: int) -> dict[str, CatalogEntry]:
+    """Entries by name, the first of each name in catalog order; then 'v' and 'w'."""
+    ctx = FanoContext(d)
+    index: dict[str, CatalogEntry] = {}
+    for entry in catalog(d):
+        index.setdefault(entry.name, entry)
+    index["v"] = CatalogEntry("v", v_vector(ctx), KuClass(1, 0), None, "lattice generator v")
+    index["w"] = CatalogEntry("w", w_vector(ctx), KuClass(0, 1), None, "lattice generator w")
+    return index
+
+
 def lookup(d: int, name: str) -> CatalogEntry:
     """Fetch an entry by name; 'v' and 'w' resolve to the lattice generators."""
-    ctx = FanoContext(d)
-    if name == "v":
-        return CatalogEntry("v", v_vector(ctx), KuClass(1, 0), None, "lattice generator v")
-    if name == "w":
-        return CatalogEntry("w", w_vector(ctx), KuClass(0, 1), None, "lattice generator w")
-    for entry in catalog(d):
-        if entry.name == name:
-            return entry
-    raise KeyError(f"no catalog entry named {name!r} at degree {d}")
+    try:
+        return _by_name(d)[name]
+    except KeyError:
+        raise KeyError(f"no catalog entry named {name!r} at degree {d}") from None

@@ -28,7 +28,8 @@ DEGREES = (1, 2, 3, 4, 5)
 
 
 def _frac(value: Rational) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    # a type test, not isinstance: Fraction's ABC metaclass makes isinstance slow on ints
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class ChernVector(Record):
@@ -104,9 +105,25 @@ def exp_h(t: Rational) -> ChernVector:
 
 
 def _over_lcm(*values: Fraction) -> tuple[int, ...]:
-    """The integer numerators of ``values`` over the lcm of their denominators, then the lcm."""
-    den = math.lcm(*(v.denominator for v in values))
-    return (*(v.numerator * (den // v.denominator) for v in values), den)
+    """The integer numerators of ``values`` over the lcm of their denominators, then the lcm.
+
+    Every caller passes three or four values, and both arities are written out.
+    """
+    if len(values) == 4:
+        a, b, c, e = values
+        da, db, dc, de = a.denominator, b.denominator, c.denominator, e.denominator
+        den = math.lcm(da, db, dc, de)
+        return (
+            a.numerator * (den // da),
+            b.numerator * (den // db),
+            c.numerator * (den // dc),
+            e.numerator * (den // de),
+            den,
+        )
+    a, b, c = values
+    da, db, dc = a.denominator, b.denominator, c.denominator
+    den = math.lcm(da, db, dc)
+    return (a.numerator * (den // da), b.numerator * (den // db), c.numerator * (den // dc), den)
 
 
 def twist(x: ChernVector, beta: Rational) -> ChernVector:
@@ -126,7 +143,7 @@ def twist(x: ChernVector, beta: Rational) -> ChernVector:
     if not beta:
         return x
     p, q = beta.numerator, beta.denominator
-    r, c1, c2, c3, den = _over_lcm(*x.coefficients())
+    r, c1, c2, c3, den = _over_lcm(x.r, x.c1, x.c2, x.c3)
     den_q = den * q
     return ChernVector(
         x.r,
@@ -172,8 +189,8 @@ def chi_pair(ctx: FanoContext, x: ChernVector, y: ChernVector) -> Fraction:
     over 3, so the whole sum is integer arithmetic and one ``Fraction(n, den)``.
     """
     d = ctx.degree
-    a0, a1, a2, a3, a_den = _over_lcm(*x.coefficients())
-    b0, b1, b2, b3, b_den = _over_lcm(*y.coefficients())
+    a0, a1, a2, a3, a_den = _over_lcm(x.r, x.c1, x.c2, x.c3)
+    b0, b1, b2, b3, b_den = _over_lcm(y.r, y.c1, y.c2, y.c3)
     return Fraction(
         3 * (a0 * b0)
         + (d + 3) * (a0 * b1 - a1 * b0)

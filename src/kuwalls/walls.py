@@ -22,15 +22,32 @@ torsion targets they are already ruled out by the sign constraint).  Since
 ch1^beta0(target) > 0, the numerator of alpha^2 falls strictly in z, so
 alpha^2 > 0 is a half-line in Z as well, and intersecting the two intervals
 (and z > 0 for torsion targets) admits candidates without testing any point.
-Each wall is computed from the twisted coordinates, where the beta-axis is
-shifted by beta0, and its centre shifted back by beta0.  The denominator of
-alpha^2 is -A, so every admitted candidate has A != 0: the walls found are
+The walls are computed in the twisted coordinates, where the beta-axis is
+shifted by beta0, and their centres shifted back by beta0.  The denominator
+of alpha^2 is -A, so every admitted candidate has A != 0: the walls found are
 always semicircles, never vertical lines.
+
+One wall passes through each point (beta0, alpha).  With u = (r1, c1, s1) the
+twisted target and u' = (x, y, z) a candidate, (C, B, -A) is the cross
+product u x u', which is orthogonal to u:
+
+    r1 C + c1 B - s1 A = 0.
+
+On the line beta = beta0 the wall meets alpha^2 = 2C/A, so dividing by c1 A
+(c1 > 0 for every search that admits a candidate) gives the twisted centre
+and the radius from alpha^2 alone:
+
+    B/A = (s1 - r1 alpha^2 / 2) / c1,    radius^2 = (B/A)^2 + alpha^2.
+
+So the search keys each candidate by alpha^2 in lowest terms, as a pair of
+ints, and builds one ``WallLocus`` and one alpha^2 ``Fraction`` per distinct
+crossing height, however many candidates cut that wall out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from ._record import Record
 from .chern import ChernVector, FanoContext, Rational, _frac, _over_lcm, line_bundle, point_ideal, twist, w_vector
@@ -135,13 +152,24 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _count(n: int) -> str:
+    """``n`` for a one-line message; a count over 40 digits as its number of digits."""
+    text = str(n)
+    return text if len(text) <= 40 else f"a {len(text)}-digit number of"
+
+
 def _search(
     target: ChernVector, beta0: Fraction, denoms: tuple[int, int], x_bound: int
-) -> list[tuple[Fraction, DestabilizerCandidate]]:
-    """The admitted candidates in (x, y, z) order, each with the alpha^2 of its wall at beta0.
+) -> tuple[
+    list[DestabilizerCandidate], dict[tuple[int, int], tuple[Fraction, WallLocus, list[DestabilizerCandidate]]]
+]:
+    """The admitted candidates in (x, y, z) order, and the walls they lie on.
 
     Works on integer numerators: the twisted target (r1, c1, s1) is
-    (R1, C1, S1) / T, and a candidate is (x, Y / y_denom, Z / z_denom).
+    (R1, C1, S1) / T, and a candidate is (x, Y / y_denom, Z / z_denom).  The
+    walls are keyed by alpha^2 at beta0 in lowest terms, as the int pair
+    (numerator, positive denominator), each mapped to (alpha^2, the wall, its
+    candidates in (x, y, z) order); the wall depends on alpha^2 alone.
     """
     y_denom, z_denom = denoms
     if y_denom < 1 or z_denom < 1 or x_bound < 0:
@@ -155,11 +183,11 @@ def _search(
     # 0 < Y / y_denom < c1
     y_count = (C1 * y_denom - 1) // big_t if C1 > 0 else 0
     if y_count < 1 or delta_num < 0:
-        return []
+        return [], {}
     x_count = x_bound if torsion_rules else 2 * x_bound
     if x_count * y_count > SEARCH_BUDGET:
         raise ValueError(
-            f"wall search over {x_count * y_count} (x, y) points is over the budget of {SEARCH_BUDGET}"
+            f"wall search over {_count(x_count * y_count)} (x, y) points is over the budget of {SEARCH_BUDGET}"
         )
     xs = range(1, x_bound + 1) if torsion_rules else [x for x in range(-x_bound, x_bound + 1) if x != 0]
 
@@ -194,30 +222,47 @@ def _search(
                 intervals.append((x, Y, z_lo, z_hi, alpha_den, s_y))
                 total += z_hi - z_lo + 1
     if total > SEARCH_BUDGET:
-        raise ValueError(f"wall search would build {total} candidates, over the budget of {SEARCH_BUDGET}")
+        raise ValueError(f"wall search would build {_count(total)} candidates, over the budget of {SEARCH_BUDGET}")
 
-    found = []
     p0, q0 = beta0.numerator, beta0.denominator
+    c1_sq = C1 * C1
+    found = []
+    heights = {}
+    # the few distinct y and z values are built once each (501 candidates of w on (8, 128) share 49 z)
+    ys: dict[int, Fraction] = {}
+    zs: dict[int, Fraction] = {}
     for x, Y, z_lo, z_hi, alpha_den, s_y in intervals:
-        y = Fraction(Y, y_denom)
+        y = ys.get(Y)
+        if y is None:
+            y = ys[Y] = Fraction(Y, y_denom)
         # The wall in twisted coordinates: A = c1 x - y r1, B = s1 x - z r1,
         # C = c1 z - y s1, so A T y_denom = -alpha_den, never 0 here.
-        a_num = -alpha_den
-        assert a_num != 0
-        b_x = S1 * x * z_denom
+        assert alpha_den != 0
+        # alpha^2 = n / m with m = z_denom |alpha_den| > 0 and n = n_top - Z n_step.
+        sign = 1 if alpha_den > 0 else -1
+        m = sign * z_denom * alpha_den
+        n_top, n_step = 2 * sign * s_y, 2 * sign * y_step
         for Z in range(z_lo, z_hi + 1):
-            alpha_num = s_y - Z * y_step
-            # centre B/A = b_num / (z_denom a_num), shifted back by beta0;
-            # radius^2 = (B/A)^2 + 2C/A, and 2C/A is alpha^2 at beta0.
-            b_num = (b_x - Z * R1) * y_denom
-            centre_den = z_denom * a_num
-            wall = WallLocus.semicircle(
-                Fraction(p0 * centre_den + q0 * b_num, q0 * centre_den),
-                Fraction(b_num * b_num - 2 * alpha_num * centre_den, centre_den * centre_den),
-            )
-            candidate = DestabilizerCandidate(x=x, y=y, z=Fraction(Z, z_denom), wall=wall)
-            found.append((Fraction(2 * alpha_num, z_denom * alpha_den), candidate))
-    return found
+            n = n_top - Z * n_step
+            g = gcd(n, m)
+            key = (n // g, m // g)
+            height = heights.get(key)
+            if height is None:
+                # centre' = (s1 - r1 alpha^2 / 2) / c1 = e / f, radius^2 = centre'^2 + alpha^2
+                n_key, m_key = key
+                e, f = 2 * m_key * S1 - R1 * n_key, 2 * m_key * C1
+                wall = WallLocus.semicircle(
+                    Fraction(p0 * f + q0 * e, q0 * f),
+                    Fraction(e * e + 4 * m_key * n_key * c1_sq, f * f),
+                )
+                height = heights[key] = (Fraction(n_key, m_key), wall, [])
+            z = zs.get(Z)
+            if z is None:
+                z = zs[Z] = Fraction(Z, z_denom)
+            candidate = DestabilizerCandidate(x, y, z, height[1])
+            found.append(candidate)
+            height[2].append(candidate)
+    return found, heights
 
 
 def destabilizer_search(
@@ -244,7 +289,7 @@ def destabilizer_search(
     A search over more than ``SEARCH_BUDGET`` (x, y) points or candidates
     raises ``ValueError`` before building them.
     """
-    return [candidate for _, candidate in _search(target, _frac(beta0), denoms, x_bound)]
+    return _search(target, _frac(beta0), denoms, x_bound)[0]
 
 
 class WallCrossing(Record):
@@ -315,18 +360,19 @@ def chamber_report(
 ) -> ChamberReport:
     """Walls met by the line beta = beta0, sorted by alpha, for the given target.
 
+    Chambers are grouped on exact integer keys, alpha^2 = n / m in lowest
+    terms with m > 0, and sorted by their alpha^2.  Each crossing lists its
+    candidates in (x, y, z) order.
+
     The lattice defaults to (2, 8) uniformly in the degree, which is the
     setting under which the class-w wall analysis produces its single wall;
     the report records the lattice and rule set actually used.
     """
     beta0 = _frac(beta0)
-    by_alpha: dict[Fraction, list[DestabilizerCandidate]] = {}
-    for alpha_sq, cand in _search(target, beta0, denoms, x_bound):
-        by_alpha.setdefault(alpha_sq, []).append(cand)
-
+    heights = _search(target, beta0, denoms, x_bound)[1]
     walls = tuple(
-        WallCrossing(alpha_sq=a, locus=group[0].wall, candidates=tuple(group))
-        for a, group in sorted(by_alpha.items())
+        WallCrossing(alpha_sq=alpha_sq, locus=locus, candidates=tuple(group))
+        for alpha_sq, locus, group in sorted(heights.values(), key=lambda height: height[0])
     )
     return ChamberReport(
         degree=ctx.degree,

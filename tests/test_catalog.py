@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kuwalls.catalog import (
+    CatalogEntry,
     catalog,
     ext_table_fixtures,
     ku_membership_chi,
@@ -147,3 +148,39 @@ def test_lookup_aliases_and_errors():
     assert lookup(3, "w").chern == w_vector(FanoContext(3))
     with pytest.raises(KeyError):
         lookup(3, "nonexistent")
+
+
+def linear_lookup(d, name):
+    """The scan ``lookup`` replaced by its per-degree index."""
+    ctx = FanoContext(d)
+    if name == "v":
+        return CatalogEntry("v", v_vector(ctx), KuClass(1, 0), None, "lattice generator v")
+    if name == "w":
+        return CatalogEntry("w", w_vector(ctx), KuClass(0, 1), None, "lattice generator w")
+    for entry in catalog(d):
+        if entry.name == name:
+            return entry
+    raise KeyError(f"no catalog entry named {name!r} at degree {d}")
+
+
+@pytest.mark.parametrize("d", DEGREES)
+def test_lookup_matches_a_linear_scan(d):
+    for name in [entry.name for entry in catalog(d)] + ["v", "w"]:
+        assert lookup(d, name) == linear_lookup(d, name), name
+    for name in ["nonexistent", "", "W", "S_pm" if d != 4 else "S"]:
+        with pytest.raises(KeyError) as indexed:
+            lookup(d, name)
+        with pytest.raises(KeyError) as scanned:
+            linear_lookup(d, name)
+        assert str(indexed.value) == str(scanned.value)
+
+
+def test_catalog_lists_are_fresh_and_do_not_reach_lookup():
+    first = catalog(2)
+    expected = list(first)
+    e_p = lookup(2, "E_p")
+    first.clear()
+    first.append(CatalogEntry("E_p", ChernVector(0, 0, 0, 0), None, None, "a mutated entry"))
+    assert lookup(2, "E_p") == e_p
+    assert catalog(2) == expected
+    assert catalog(2) is not catalog(2)

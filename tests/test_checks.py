@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+import kuwalls.checks as checks_module
 from kuwalls.chern import DEGREES
-from kuwalls.checks import run_all_checks, run_checks
+from kuwalls.checks import check_line_pairing_and_differences, run_all_checks, run_checks
+from kuwalls.delpezzo import DPContext, enumerate_roots
 
 
 @pytest.mark.parametrize("d", DEGREES)
@@ -33,3 +35,16 @@ def test_full_run_within_budget():
     assert all(result.passed for result in results)
     assert len(results) == len(run_checks(1)) * len(DEGREES)
     assert elapsed < 10.0
+
+
+def test_line_pairing_check_counts_the_roots_that_split(monkeypatch):
+    passing = check_line_pairing_and_differences(2)
+    assert passing.passed and passing.detail == "pairs: 28, decomposed roots: 126"
+    real = checks_module.root_as_line_difference
+    unsplit = enumerate_roots(DPContext(2))[17]
+    monkeypatch.setattr(
+        checks_module, "root_as_line_difference", lambda ctx, root: None if root == unsplit else real(ctx, root)
+    )
+    failing = check_line_pairing_and_differences(2)
+    assert not failing.passed
+    assert failing.detail == "pairs: 28, decomposed roots: 125"

@@ -32,6 +32,7 @@ from kuwalls.chern import (
     ring_multiply,
     twist,
 )
+from kuwalls.chern import _frac, _over_lcm
 from kuwalls.catalog import catalog, v_vector, w_vector
 
 H = sympy.symbols("H")
@@ -292,3 +293,38 @@ def test_default_lattice_is_sharp():
     for d, entry in entries:
         assert on_integral_lattice(FanoContext(d), entry.chern), (d, entry.name)
         assert on_coarse_grid(entry.chern, d), (d, entry.name)
+
+
+def generic_over_lcm(*values):
+    """The comprehension that ``_over_lcm`` writes out for three and four values."""
+    den = math.lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (den // v.denominator) for v in values), den)
+
+
+def test_over_lcm_matches_the_generic_comprehension():
+    rng = random.Random(1009)
+    pool = [Fraction(0), Fraction(-7), Fraction(12, 4), Fraction(-1, 2**61 - 1), Fraction(3, 10**30)]
+    for _ in range(400):
+        for arity in (3, 4):
+            values = [
+                rng.choice(pool)
+                if rng.random() < 0.3
+                else Fraction(rng.randint(-50, 50), rng.choice([1, 2, 6, 97, 10**12]))
+                for _ in range(arity)
+            ]
+            got = _over_lcm(*values)
+            assert got == generic_over_lcm(*values), values
+            assert all(type(n) is int for n in got)
+
+
+class HalfOpenFraction(Fraction):
+    """A Fraction subclass, as a caller might pass one."""
+
+
+@pytest.mark.parametrize("value", [7, -3, 0, True, False, Fraction(-5, 6), HalfOpenFraction(1, 3)])
+def test_frac_returns_an_exact_fraction(value):
+    converted = _frac(value)
+    assert type(converted) is Fraction
+    assert converted == value
+    if type(value) is Fraction:
+        assert converted is value

@@ -122,6 +122,14 @@ def test_walls_over_budget_lattice_is_refused(capsys):
     assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
 
 
+def test_walls_refusal_shows_a_huge_point_count_by_its_digits(capsys):
+    # rank 10^99 puts about 10^100 (x, y) points under ch1 at beta = -1/2
+    code, out, err = run(capsys, ["walls", "--degree", "2", "--class", "1" + "0" * 99 + ",1,0,0"])
+    assert code == 2
+    assert out == ""
+    assert err == "wall search over a 101-digit number of (x, y) points is over the budget of 1000000\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [

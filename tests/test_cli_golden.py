@@ -39,6 +39,9 @@ CASES = list(dict.fromkeys([
     *(f"roots --dp {dp} --list" for dp in range(1, 8)),
     *(f"{command} --degree {d}" for command in ("check", "catalog", "euler") for d in range(1, 6)),
     "walls --degree 5 --class Q_dual --denoms 2,40",
+    # the large lattices of the wall-queries benchmark: many candidates on each wall
+    "walls --degree 1 --class w --denoms 8,128 --x-bound 40",
+    f"walls --degree 5 --class E_p --denoms 4,64 --x-bound 10 --svg {SVG}",
     "euler --degree 7",
     "walls --degree 2 --class mystery",
     "check",
@@ -73,6 +76,8 @@ GOLDEN = {
     "euler --degree 4": "b2fd20c246061704e84a60d1ffac7857c355d0d60759552df2be0aba33ba102c",
     "euler --degree 5": "be4129c32d9595b185f5d2bca617d19b52ff363cb454bb199638f2b9958dd1b7",
     "walls --degree 5 --class Q_dual --denoms 2,40": "2559b2474eaa57f0fae02523bfad4a708a6d390fb49d8302e5107011c740d5e6",
+    "walls --degree 1 --class w --denoms 8,128 --x-bound 40": "76e2620c56b915a78735fab2e0fc26d2f39b6c4bb777d5a090fb78ddf91b7223",
+    "walls --degree 5 --class E_p --denoms 4,64 --x-bound 10 --svg {svg}": "8e08a72b1821bab02b2934f4f76c79d43764c93419bb2cb3e9c3c95b9c059d5c",
     "euler --degree 7": "e199897d03fdbbeb7fb043def383be9b7638fa04717052160e53f6359da00a8b",
     "walls --degree 2 --class mystery": "8c7d8a252fdc75acb96d0bc4985dd718e34d4c1bc6aa3e5128db3b52a5d1c6b2",
     "check": "97b925f4ab8ae9c1e17f2e04a98c7721b02a01d7d613cbea3cba1c1e016fa252",
@@ -94,7 +99,7 @@ def record(command: str, svg_path: Path) -> bytes:
 
 
 def test_every_case_is_pinned():
-    assert len(CASES) == len(set(CASES)) == 30
+    assert len(CASES) == len(set(CASES)) == 32
     assert set(GOLDEN) == set(CASES)
 
 

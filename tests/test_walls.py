@@ -1,10 +1,13 @@
 """Wall loci and destabilizer-search tests.
 
 The search is cross-checked against a deliberately naive oracle that scans a
-wide lattice box and re-applies every constraint from scratch, and against
-the per-point ``Fraction`` scan that the integer kernel replaced (kept here as
-``reference_search``, walls and order included).  The wall equation is
-checked against a symbolic expansion of the slope-equality cross product.
+wide lattice box and re-applies every constraint from scratch, and against two
+references, walls and order included: the per-point ``Fraction`` scan that the
+integer kernel replaced (``reference_search``), and the integer formula that
+built one wall per candidate before the search built one wall per crossing
+height (``per_candidate_search``), both grouped on ``Fraction`` keys.  The
+wall equation is checked against a symbolic expansion of the slope-equality
+cross product.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pytest
 import sympy
 
 from kuwalls.catalog import catalog, point_ideal, v_vector, w_vector
-from kuwalls.chern import DEGREES, ChernVector, FanoContext, line_bundle, twist
+from kuwalls.chern import DEGREES, ChernVector, FanoContext, _over_lcm, line_bundle, twist
 from kuwalls.tilt import StabilityParams, discriminant, slope_tilt
 from kuwalls.walls import (
     BASE_LATTICE,
@@ -27,6 +30,7 @@ from kuwalls.walls import (
     WallLocus,
     chamber_report,
     destabilizer_search,
+    _wall_coefficients,
     numerical_wall,
 )
 
@@ -99,8 +103,8 @@ def _search_x_slice(x, ys, t_target, delta_target, z_denom, torsion_rules):
     return found
 
 
-def reference_search(ctx, target, beta0, denoms, x_bound):
-    """The per-point Fraction scan, as (alpha^2, candidate) pairs in (x, y, z) order."""
+def reference_triples(target, beta0, denoms, x_bound):
+    """The admitted (x, y, z) of the per-point Fraction scan, sorted."""
     y_denom, z_denom = denoms
     t = twist(target, beta0)
     t_target = t.truncated()
@@ -110,9 +114,14 @@ def reference_search(ctx, target, beta0, denoms, x_bound):
     if not ys or delta_target < 0:
         return []
     xs = [x for x in range(-x_bound, x_bound + 1) if x != 0 and (x > 0 or not torsion_rules)]
-    triples = sorted(
+    return sorted(
         triple for x in xs for triple in _search_x_slice(x, ys, t_target, delta_target, z_denom, torsion_rules)
     )
+
+
+def reference_search(ctx, target, beta0, triples):
+    """The per-point Fraction scan of ``triples``, as (alpha^2, candidate) pairs with walls from ``numerical_wall``."""
+    t_target = twist(target, beta0).truncated()
     found = []
     for x, y, z in triples:
         wall = numerical_wall(ctx, target, twist(ChernVector(x, y, z, 0), -beta0))
@@ -121,14 +130,56 @@ def reference_search(ctx, target, beta0, denoms, x_bound):
     return found
 
 
+def per_candidate_search(target, beta0, denoms, triples):
+    """(alpha^2, candidate) pairs with one wall built per candidate from integer numerators.
+
+    The closed form the search used before it built one wall per crossing
+    height: with the twisted target (R1, C1, S1) / T and a candidate
+    (x, Y / y_denom, Z / z_denom), the centre is B/A = b_num / centre_den and
+    radius^2 = (B/A)^2 + 2C/A.
+    """
+    y_denom, z_denom = denoms
+    R1, C1, S1, _ = _over_lcm(*twist(target, beta0).truncated())
+    p0, q0 = beta0.numerator, beta0.denominator
+    found = []
+    for x, y, z in triples:
+        Y, Z = int(y * y_denom), int(z * z_denom)
+        alpha_den = R1 * Y - C1 * x * y_denom
+        alpha_num = S1 * Y * z_denom - Z * C1 * y_denom
+        b_num = (S1 * x * z_denom - Z * R1) * y_denom
+        centre_den = -z_denom * alpha_den
+        wall = WallLocus.semicircle(
+            Fraction(p0 * centre_den + q0 * b_num, q0 * centre_den),
+            Fraction(b_num * b_num - 2 * alpha_num * centre_den, centre_den * centre_den),
+        )
+        found.append((Fraction(2 * alpha_num, z_denom * alpha_den), DestabilizerCandidate(x=x, y=y, z=z, wall=wall)))
+    return found
+
+
 def reference_walls(pairs):
-    """The crossings of ``chamber_report``, grouped from ``reference_search`` pairs."""
+    """The crossings of ``chamber_report``, grouped from (alpha^2, candidate) pairs on Fraction keys."""
     by_alpha = {}
     for alpha_sq, cand in pairs:
         by_alpha.setdefault(alpha_sq, []).append(cand)
     return tuple(
         WallCrossing(alpha_sq=a, locus=group[0].wall, candidates=tuple(group)) for a, group in sorted(by_alpha.items())
     )
+
+
+def assert_matches_both_references(ctx, target, beta0, denoms, x_bound):
+    """Search and report against the Fraction scan and the per-candidate formula; the candidate count."""
+    triples = reference_triples(target, beta0, denoms, x_bound)
+    found = destabilizer_search(ctx, target, beta0, denoms=denoms, x_bound=x_bound)
+    walls = chamber_report(ctx, target, beta0, denoms=denoms, x_bound=x_bound).walls
+    for reference in (
+        reference_search(ctx, target, beta0, triples),
+        per_candidate_search(target, beta0, denoms, triples),
+    ):
+        assert found == [cand for _, cand in reference], (target, beta0, denoms)
+        assert walls == reference_walls(reference), (target, beta0, denoms)
+    for crossing in walls:
+        assert all(cand.wall == crossing.locus for cand in crossing.candidates)
+    return len(found)
 
 
 GRID_BETAS = [Fraction(-3, 2) + Fraction(3, 8) * k for k in range(6)]
@@ -159,12 +210,7 @@ def test_search_and_report_match_the_fraction_reference(d):
     for target in grid_classes(d, rng, 5):
         for beta0 in GRID_BETAS:
             for denoms in GRID_LATTICES:
-                reference = reference_search(ctx, target, beta0, denoms, 5)
-                found = destabilizer_search(ctx, target, beta0, denoms=denoms, x_bound=5)
-                assert found == [cand for _, cand in reference], (target, beta0, denoms)
-                report = chamber_report(ctx, target, beta0, denoms=denoms, x_bound=5)
-                assert report.walls == reference_walls(reference), (target, beta0, denoms)
-                candidates += len(found)
+                candidates += assert_matches_both_references(ctx, target, beta0, denoms, 5)
     assert candidates > 0
 
 
@@ -172,9 +218,31 @@ def test_large_lattice_matches_the_fraction_reference():
     # the benchmark's largest searches: the class w on (8, 128) with x_bound 40
     for d in (1, 5):
         ctx = FanoContext(d)
-        report = chamber_report(ctx, w_vector(ctx), BETA0, denoms=(8, 128), x_bound=40)
-        assert report.walls == reference_walls(reference_search(ctx, w_vector(ctx), BETA0, (8, 128), 40))
-        assert sum(len(crossing.candidates) for crossing in report.walls) > 100
+        assert assert_matches_both_references(ctx, w_vector(ctx), BETA0, (8, 128), 40) > 100
+        # 501 candidates on 146 walls, one wall object per crossing height
+        walls = chamber_report(ctx, w_vector(ctx), BETA0, denoms=(8, 128), x_bound=40).walls
+        assert len(walls) == 146 and sum(len(crossing.candidates) for crossing in walls) == 501
+        assert all(cand.wall is crossing.locus for crossing in walls for cand in crossing.candidates)
+
+
+def test_wall_coefficients_satisfy_the_height_identity():
+    # (C, B, -A) = u x u' is orthogonal to u = (r1, c1, s1): r1 C + c1 B - s1 A = 0,
+    # so the wall through (beta0, alpha) has centre beta0 + (s1 - r1 alpha^2 / 2) / c1
+    rng = random.Random(5150)
+    pairs = 0
+    for d in DEGREES:
+        ctx = FanoContext(d)
+        for target in grid_classes(d, rng, 6):
+            for beta0 in GRID_BETAS[::2]:
+                r1, c1, s1 = twist(target, beta0).truncated()
+                for cand in destabilizer_search(ctx, target, beta0, denoms=(2, 24), x_bound=5):
+                    a, b, c = _wall_coefficients(ChernVector(r1, c1, s1, 0), ChernVector(cand.x, cand.y, cand.z, 0))
+                    assert r1 * c + c1 * b - s1 * a == 0
+                    alpha_sq = 2 * c / a
+                    centre = (s1 - r1 * alpha_sq / 2) / c1
+                    assert cand.wall == WallLocus.semicircle(beta0 + centre, centre * centre + alpha_sq)
+                    pairs += 1
+    assert pairs > 100
 
 
 def test_admitted_candidates_never_have_a_zero_a_coefficient():
